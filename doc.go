@@ -109,13 +109,16 @@
 //
 // A StateStore holds spilled devices: NewMemStateStore keeps them
 // in-process (eviction bounds live identifier memory without losing
-// streaks), NewDiskStateStore persists one gzip-JSON file per device so
+// streaks), NewDiskStateStore persists one binary state file per device so
 // state survives restarts (profilerd's -state-dir; Monitor.Checkpoint
 // spills every live device for a graceful shutdown). Resume is exact:
 // an evicting-and-rehydrating monitor emits the identical alert sequence
 // to a never-evicting one, and ExportShard→ImportShard preserves every
 // device's pending windows and streaks — both properties are asserted by
-// tests. Serialized state carries a format version, checked on decode
+// tests. Every byte form of device state — spill files, the shared
+// tier's blobs, shard exports and handoff payloads — is one binary codec
+// (a per-blob string table, transactions in the binary-record field
+// layout, a CRC-32C trailer) carrying a format version, checked on decode
 // like the profile bundle's.
 //
 // # Multi-node clustering

@@ -11,8 +11,10 @@ import (
 
 // benchNodeFeed measures client→node feed throughput over loopback TCP
 // at the given wire-version cap (transactions/op = 1): encode, frame,
-// decode and FeedBatch into the node's monitor, with the reply awaited
-// per batch.
+// decode and FeedBatch into the node's monitor. Feed only enqueues, so
+// the timer runs through the final Flush, which the node answers only
+// after processing every batch queued before it (plus closing the
+// devices' pending windows, once per run).
 func benchNodeFeed(b *testing.B, maxWire int) {
 	set, ds := clustertest.TrainedSet(b)
 	base, _ := clustertest.Workload(b, ds, 64, 4096)
@@ -51,7 +53,6 @@ func benchNodeFeed(b *testing.B, maxWire int) {
 		}
 		fed += len(buf)
 	}
-	b.StopTimer()
 	if err := c.Flush(); err != nil {
 		b.Fatal(err)
 	}

@@ -161,7 +161,11 @@
 //	-------                      -------
 //	member SIGTERMs, cold join   checkpointed movers warm-restore: the
 //	                             route flips, state rehydrates from the
-//	                             tier on the next transaction; no drain
+//	                             tier on the next transaction; no drain.
+//	                             The old owner's re-List flushes its
+//	                             write-behind queue first, so the tier
+//	                             holds its newest spills; an owner that
+//	                             cannot answer keeps its movers
 //	member dies, FailNode        devices reroute to survivors and resume
 //	                             from their checkpoints — failover with
 //	                             no handoff protocol at all

@@ -558,9 +558,21 @@ func (r *Router) AddNode(m Member) error {
 	// at its old owner in that window. Re-listing the owner now is
 	// authoritative — the mark is in place, so no *new* admission can
 	// happen there — and anything found live drains normally after all.
+	// The re-List is also the owner's spill barrier (SharedSpill makes
+	// Monitor.TrackedDevices flush its write-behind queue to the tier),
+	// so the state the new node reads on the next transaction is the
+	// newest the owner wrote. An owner that cannot answer gave no
+	// barrier: its warm devices stay where they are.
 	warmed := 0
 	for _, src := range sortedKeys(warm) {
-		stillLive := r.liveSet(src)
+		stillLive, err := r.liveSet(src)
+		if err != nil {
+			errs = append(errs, err)
+			if err := r.settle(warm[src], src); err != nil {
+				errs = append(errs, err)
+			}
+			continue
+		}
 		var restore []string
 		for _, device := range warm[src] {
 			if stillLive[device] {
@@ -588,26 +600,26 @@ func (r *Router) AddNode(m Member) error {
 	return errors.Join(errs...)
 }
 
-// liveSet reports the devices a member holds live right now. Any error
-// yields the empty set: an unreachable node holds nothing reachable.
-func (r *Router) liveSet(name string) map[string]bool {
+// liveSet reports the devices a member holds live right now; a member
+// no longer in the view holds none.
+func (r *Router) liveSet(name string) (map[string]bool, error) {
 	r.mu.Lock()
 	h := r.nodes[name]
 	r.mu.Unlock()
 	if h == nil {
-		return nil
+		return nil, nil
 	}
 	h.mu.Lock()
 	names, err := h.client.List()
 	h.mu.Unlock()
 	if err != nil {
-		return nil
+		return nil, fmt.Errorf("cluster: listing node %s before a warm restore: %w", name, err)
 	}
 	set := make(map[string]bool, len(names))
 	for _, d := range names {
 		set[d] = true
 	}
-	return set
+	return set, nil
 }
 
 // dialMember opens the router's connection to one member, with the

@@ -183,6 +183,48 @@ func TestWarmRestoreJoinEquivalence(t *testing.T) {
 	}
 }
 
+// TestWarmRestoreJoinFlushesOwnerQueue: the old owner's write-behind
+// queue never flushes on its own here, so after the checkpoint the
+// states sit only in n1's queue when n2 joins. The join's List of n1 is
+// the barrier that puts them on the tier before any route flips; without
+// it n2 would start every moved device fresh and its alerts would differ.
+func TestWarmRestoreJoinFlushesOwnerQueue(t *testing.T) {
+	set, ds := clustertest.TrainedSet(t)
+	txs, _ := clustertest.Workload(t, ds, 12, 4000)
+	want := clustertest.ReferenceSigs(t, set, equivK, txs)
+	prev := cluster.ReadClusterStats()
+
+	srv := startStateServer(t)
+	tier := newTierClients(t, srv.Addr().String(), statestore.ClientConfig{FlushCount: 1 << 30, FlushAge: time.Hour})
+	h := clustertest.NewHarnessConfig(t, set, equivK, clustertest.HarnessConfig{
+		Router:   cluster.RouterConfig{SharedState: true},
+		NodePrep: tier.prep(),
+	}, "n1")
+
+	split := len(txs) * 3 / 5
+	feedChunks(t, h.Router, txs[:split], 200)
+	syncRouter(t, h.Router)
+	if _, failed, err := h.Node("n1").Monitor().Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v (%d devices failed)", err, failed)
+	}
+	if got := srv.Len(); got != 0 {
+		t.Fatalf("tier holds %d devices before the join, want 0 — the queue flushed on its own", got)
+	}
+
+	h.Join(t, "n2")
+	if d := cluster.ReadClusterStats().Sub(prev); d.WarmRestores == 0 {
+		t.Fatalf("join drained instead of warm-restoring: %+v", d)
+	}
+	feedChunks(t, h.Router, txs[split:], 200)
+	if err := h.Router.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	clustertest.AssertSameSigs(t, want, h.Alerts.Sigs())
+	if h.Alerts.Origins()["n2"] == 0 {
+		t.Fatal("no alert originated on the joined node — placement never moved")
+	}
+}
+
 // TestFailoverWithoutHandoffEquivalence is the tentpole's second payoff:
 // a member checkpoints, dies, and is declared failed — its devices
 // reroute to the survivors and resume from the tier with no handoff

@@ -29,7 +29,7 @@ import (
 // Frames on a connection are written atomically (under a write lock), so
 // a reader always sees whole frames in write order.
 
-// MaxFrameBytes caps one frame's JSON payload. Shard-export blobs are the
+// MaxFrameBytes caps one frame's payload. Shard-export blobs are the
 // largest frames; 64 MiB is ~100k devices at typical state sizes. The
 // reader rejects larger headers before allocating, so a corrupt or
 // hostile length prefix cannot balloon memory.

@@ -89,10 +89,7 @@ func (m *Monitor) ExportStaged(id string, devices []string) ([]byte, int, error)
 	}
 	states, errs := m.collectDeviceStates(devices)
 	sort.Slice(states, func(a, b int) bool { return states[a].Device < states[b].Device })
-	blob, err := encodeShardState(states)
-	if err != nil {
-		return nil, 0, errors.Join(append(errs, err)...)
-	}
+	blob := encodeDeviceStates(states...)
 	m.putHandoffLocked(id, &handoffEntry{states: states, blob: blob, stagedAt: m.streamNow.Load()})
 	return blob, len(states), errors.Join(errs...)
 }
@@ -119,7 +116,7 @@ func (m *Monitor) StageImport(id string, data []byte) (int, error) {
 		}
 		return len(e.states), nil
 	}
-	states, err := decodeShardState(data)
+	states, err := decodeDeviceStates(data)
 	if err != nil {
 		return 0, err
 	}
@@ -366,6 +363,13 @@ func (m *Monitor) collectDeviceStates(devices []string) ([]DeviceState, []error)
 // invisible until committed. This is what lets a placement mover with no
 // memory of past routing ask a node "who do you hold?" and compute
 // drains from the answer.
+//
+// Under SharedSpill the listing is also a spill barrier: after the live
+// scan it lists the store, which a write-behind store (statestore.Client)
+// answers only once its queued writes are on the tier. So every device
+// this call leaves out has its spilled state readable by the device's
+// next owner — what a warm restore (cluster.Router.AddNode) needs before
+// it flips the route. If the barrier fails the listing fails too.
 func (m *Monitor) TrackedDevices() ([]string, error) {
 	var names []string
 	for _, sh := range m.shards {
@@ -375,15 +379,18 @@ func (m *Monitor) TrackedDevices() ([]string, error) {
 		}
 		sh.mu.Unlock()
 	}
-	// A shared spill tier holds the whole fleet's devices; claiming them
-	// all as this monitor's holdings would make every node report every
-	// device. Only the private-store spill set belongs to this monitor.
-	if m.cfg.Spill != nil && !m.cfg.SharedSpill {
+	if m.cfg.Spill != nil {
 		spilled, err := m.cfg.Spill.Devices()
 		if err != nil {
 			return nil, fmt.Errorf("core: listing spilled devices: %w", err)
 		}
-		names = append(names, spilled...)
+		// A shared spill tier holds the whole fleet's devices; claiming
+		// them all as this monitor's holdings would make every node
+		// report every device. Only a private store's spill set belongs
+		// to this monitor.
+		if !m.cfg.SharedSpill {
+			names = append(names, spilled...)
+		}
 	}
 	sort.Strings(names)
 	// A device can race an eviction and appear both live and spilled.

@@ -75,14 +75,14 @@ func newIdentifierWithScorer(set *ProfileSet, host string, consecutiveK int, sc 
 // of users absent from the restoring set are dropped, and users new to it
 // start at zero.
 type IdentifierState struct {
-	Host string `json:"host"`
+	Host string
 	// K is the consecutive-window threshold the identifier ran with.
 	// RestoreIdentifier resumes with it; the Monitor's import paths use
 	// the monitor's own threshold instead (every device of a monitor
 	// shares one rule).
-	K        int                    `json:"k"`
-	Streamer features.StreamerState `json:"streamer"`
-	Runs     map[string]int         `json:"runs,omitempty"`
+	K        int
+	Streamer features.StreamerState
+	Runs     map[string]int
 }
 
 // Snapshot captures the identifier's full resumable state. The snapshot is

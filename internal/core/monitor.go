@@ -100,9 +100,11 @@ type MonitorConfig struct {
 	// Spill, when non-nil, makes idle eviction durable instead of lossy:
 	// an evicted device's identification state (pending window buffer,
 	// consecutive-accept streaks, confirmed identity) is serialized into
-	// the store, no flush happens and no synthetic AlertLost fires, and
-	// the state is transparently rehydrated — and removed from the store —
-	// when the device's next transaction arrives. With a spill store the
+	// the store as one binary blob (state.go's codec: magic, version,
+	// string table, CRC-32C trailer — the bytes shard exports and
+	// handoffs carry too), no flush happens and no synthetic AlertLost
+	// fires, and the state is transparently rehydrated — and removed from
+	// the store — when the device's next transaction arrives. With a spill store the
 	// alert sequence of an evicting monitor is identical to a
 	// never-evicting one (TestMonitorSpillRehydrateMatchesNeverEvicting),
 	// and Checkpoint can persist every live device across a process
@@ -115,7 +117,8 @@ type MonitorConfig struct {
 	// rather than this process's private directory. It changes who
 	// claims spilled state: TrackedDevices reports only live devices (a
 	// node must not claim every device in the fleet-wide store as its
-	// own holdings), and device-granular exports do not harvest the
+	// own holdings) after flushing this monitor's spills to the store
+	// through Devices, and device-granular exports do not harvest the
 	// store (the importing monitor reads the shared tier directly when
 	// the device's next transaction arrives). Rehydration on admit is
 	// unchanged — Get, restore, Delete — and the tier's per-device
@@ -667,7 +670,6 @@ func (m *Monitor) restoreTrackLocked(sh *monitorShard, st DeviceState) (*deviceT
 // Runs under the device's shard lock.
 func deviceStateLocked(device string, tr *deviceTrack) DeviceState {
 	return DeviceState{
-		Version:    stateVersion,
 		Device:     device,
 		Current:    tr.current,
 		LastSeen:   tr.lastSeen,
@@ -825,11 +827,7 @@ func (m *Monitor) evictLocked(sh *monitorShard, device string, tr *deviceTrack) 
 // device's shard lock; the caller removes the device from the shard on
 // success.
 func (m *Monitor) spillLocked(device string, tr *deviceTrack) error {
-	blob, err := encodeDeviceState(deviceStateLocked(device, tr))
-	if err != nil {
-		return err
-	}
-	return m.cfg.Spill.Put(device, blob)
+	return m.cfg.Spill.Put(device, encodeDeviceStates(deviceStateLocked(device, tr)))
 }
 
 // Checkpoint spills every tracked device into the configured spill store
@@ -890,7 +888,7 @@ func (m *Monitor) ExportShard(i int) ([]byte, error) {
 	sh.mu.Unlock()
 	// Deterministic bytes for a given shard population.
 	sort.Slice(states, func(a, b int) bool { return states[a].Device < states[b].Device })
-	return encodeShardState(states)
+	return encodeDeviceStates(states...), nil
 }
 
 // ExportDevices serializes and stops tracking the named devices — the
@@ -912,11 +910,7 @@ func (m *Monitor) ExportDevices(devices []string) ([]byte, int, error) {
 	states, errs := m.collectDeviceStates(devices)
 	// Deterministic bytes for a given device population, like ExportShard.
 	sort.Slice(states, func(a, b int) bool { return states[a].Device < states[b].Device })
-	blob, err := encodeShardState(states)
-	if err != nil {
-		return nil, 0, errors.Join(append(errs, err)...)
-	}
-	return blob, len(states), errors.Join(errs...)
+	return encodeDeviceStates(states...), len(states), errors.Join(errs...)
 }
 
 // ImportShard adopts the devices of an ExportShard blob, routing each to
@@ -927,7 +921,7 @@ func (m *Monitor) ExportDevices(devices []string) ([]byte, int, error) {
 // left untouched and reported in the joined error — two live states for
 // one device means the handoff routed transactions wrong.
 func (m *Monitor) ImportShard(data []byte) (int, error) {
-	states, err := decodeShardState(data)
+	states, err := decodeDeviceStates(data)
 	if err != nil {
 		return 0, err
 	}

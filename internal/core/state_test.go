@@ -1,19 +1,19 @@
 package core
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"webtxprofile/internal/features"
+	"webtxprofile/internal/taxonomy"
 	"webtxprofile/internal/weblog"
 )
 
@@ -54,8 +54,9 @@ func hostStream(t *testing.T, ds *weblog.Dataset, user, host string, limit int) 
 
 // TestIdentifierSnapshotResume is the identifier-level resume property:
 // checkpointing at random midpoints of a stream — with the state pushed
-// through the same JSON round trip the stores use — must reproduce the
-// uninterrupted event sequence byte-for-byte.
+// through a serialization round trip (JSON here; the stores' binary codec
+// is covered by TestDeviceStateCodecRoundTrip and the spill suites) —
+// must reproduce the uninterrupted event sequence byte-for-byte.
 func TestIdentifierSnapshotResume(t *testing.T) {
 	set, testDS := sharedSet(t)
 	const host = "192.0.2.7"
@@ -415,20 +416,10 @@ func TestMonitorRehydrateRejectsCorruptBlob(t *testing.T) {
 	}
 
 	// Version drift is rejected the same way.
-	good, err := encodeDeviceState(DeviceState{Device: "10.0.1.9", Identifier: IdentifierState{Host: "10.0.1.9", Streamer: features.StreamerState{Entity: "10.0.1.9"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(good, &raw); err != nil {
-		t.Fatal(err)
-	}
-	raw["version"] = stateVersion + 1
-	future, err := json.Marshal(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Put("10.0.1.9", future)
+	good := encodeDeviceStates(DeviceState{Device: "10.0.1.9", Identifier: IdentifierState{Host: "10.0.1.9", Streamer: features.StreamerState{Entity: "10.0.1.9"}}})
+	future := append([]byte(nil), good[:len(good)-4]...)
+	future[len(stateMagic)] = stateVersion + 1
+	store.Put("10.0.1.9", restampCRC(future))
 	tx := txs[1]
 	tx.SourceIP = "10.0.1.9"
 	if err := mon.Feed(tx); err == nil || !strings.Contains(err.Error(), "version") {
@@ -475,11 +466,7 @@ func TestMonitorRehydrateKeepsBlobOnTransientError(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blob, err := encodeDeviceState(DeviceState{Device: dev, Identifier: id.Snapshot()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner.Put(dev, blob)
+	inner.Put(dev, encodeDeviceStates(DeviceState{Device: dev, Identifier: id.Snapshot()}))
 
 	if err := mon.Feed(txs[20]); err == nil {
 		t.Fatal("transient store error did not surface")
@@ -649,24 +636,14 @@ func TestMonitorExportImportErrors(t *testing.T) {
 	if _, err := mon.ImportShard([]byte("junk")); err == nil {
 		t.Error("garbage import accepted")
 	}
-	future, err := encodeShardState(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the version inside the gzip envelope.
-	devs, err := decodeShardState(future)
+	empty := encodeDeviceStates()
+	devs, err := decodeDeviceStates(empty)
 	if err != nil || len(devs) != 0 {
 		t.Fatalf("empty export round trip: %v", err)
 	}
-	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(gz).Encode(shardStateJSON{Version: stateVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mon.ImportShard(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "version") {
+	future := append([]byte(nil), empty[:len(empty)-4]...)
+	future[len(stateMagic)] = stateVersion + 1
+	if _, err := mon.ImportShard(restampCRC(future)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future-version import error = %v", err)
 	}
 
@@ -717,7 +694,7 @@ func TestDiskStateStoreCrashDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	// PathEscape keeps dots and dashes, so this device's file is
-	// ".state-evil.state.gz" — prefix of a temp file, suffix of a real one.
+	// ".state-evil.state" — prefix of a temp file, suffix of a real one.
 	if err := store.Put(".state-evil", []byte("prefixed-device")); err != nil {
 		t.Fatal(err)
 	}
@@ -725,7 +702,7 @@ func TestDiskStateStoreCrashDurability(t *testing.T) {
 	// A crash mid-Put leaves the temp file; a crash at open leaves an
 	// empty one.
 	torn := filepath.Join(dir, ".state-123456789")
-	if err := os.WriteFile(torn, []byte("torn gzip garbag"), 0o600); err != nil {
+	if err := os.WriteFile(torn, []byte("torn state garbag"), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	empty := filepath.Join(dir, ".state-987654321")
@@ -831,5 +808,196 @@ func TestMonitorCheckpointContinuesPastFailures(t *testing.T) {
 		if store.deny[d] {
 			t.Errorf("denied device %s reached the store", d)
 		}
+	}
+}
+
+// randomDeviceState draws a device state exercising every field of the
+// codec: zero and non-UTC times, anchored and unanchored streamers, empty and
+// full buffers and streaks, and strings repeated across transactions.
+func randomDeviceState(r *rand.Rand) DeviceState {
+	pick := func(pool ...string) string { return pool[r.Intn(len(pool))] }
+	zones := []*time.Location{time.UTC, time.FixedZone("CET", 3600), time.FixedZone("PDT", -7*3600)}
+	when := func() time.Time {
+		if r.Intn(8) == 0 {
+			return time.Time{}
+		}
+		return time.Unix(1.4e9+r.Int63n(1e8), r.Int63n(1e9)).In(zones[r.Intn(len(zones))])
+	}
+	tx := func() weblog.Transaction {
+		return weblog.Transaction{
+			Timestamp:  when(),
+			Host:       pick("www.example.com", "cdn.example.net", "mail.example.org"),
+			Scheme:     pick("http", "https"),
+			Action:     pick("GET", "POST", "CONNECT"),
+			UserID:     pick("user_1", "user_2", ""),
+			SourceIP:   pick("10.0.0.1", "10.0.0.2"),
+			Category:   pick("News", "Games", "Business/Economy"),
+			MediaType:  taxonomy.MediaType{Super: pick("", "text"), Sub: pick("", "html")},
+			AppType:    pick("", "Rhapsody"),
+			Reputation: taxonomy.Reputation(r.Intn(4)),
+			Private:    r.Intn(2) == 0,
+		}
+	}
+	device := pick("10.0.0.1", "10.0.0.2", "host with spaces")
+	st := DeviceState{
+		Device:   device,
+		Current:  pick("", "user_1", "user_2"),
+		LastSeen: when(),
+		Identifier: IdentifierState{
+			Host: device,
+			K:    r.Intn(12),
+			Streamer: features.StreamerState{
+				Entity:    device,
+				Anchored:  r.Intn(2) == 0,
+				Closed:    r.Intn(4) == 0,
+				NextIdx:   r.Intn(1 << 20),
+				EmitCount: r.Intn(1 << 16),
+			},
+		},
+	}
+	ss := &st.Identifier.Streamer
+	if ss.Anchored {
+		a, l := tx(), tx()
+		ss.Anchor, ss.LastSeen = &a, &l
+		for n := r.Intn(6); n > 0; n-- {
+			ss.Buffered = append(ss.Buffered, tx())
+		}
+	}
+	for n := r.Intn(4); n > 0; n-- {
+		if st.Identifier.Runs == nil {
+			st.Identifier.Runs = make(map[string]int)
+		}
+		st.Identifier.Runs[pick("user_1", "user_2", "user_3", "user_4")] = 1 + r.Intn(40)
+	}
+	return st
+}
+
+// inUTC returns st with every time moved to UTC, which is how the codec
+// hands times back.
+func inUTC(st DeviceState) DeviceState {
+	st.LastSeen = st.LastSeen.UTC()
+	ss := &st.Identifier.Streamer
+	for _, p := range []**weblog.Transaction{&ss.Anchor, &ss.LastSeen} {
+		if *p != nil {
+			tx := **p
+			tx.Timestamp = tx.Timestamp.UTC()
+			*p = &tx
+		}
+	}
+	if ss.Buffered != nil {
+		ss.Buffered = append([]weblog.Transaction(nil), ss.Buffered...)
+		for i := range ss.Buffered {
+			ss.Buffered[i].Timestamp = ss.Buffered[i].Timestamp.UTC()
+		}
+	}
+	return st
+}
+
+// TestDeviceStateCodecRoundTrip is the codec's round-trip property over
+// random states and real monitor blobs: encode → decode → encode gives
+// identical bytes, the decoded states equal the originals, and every
+// restored time is in UTC.
+func TestDeviceStateCodecRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for i := 0; i < 300; i++ {
+		states := make([]DeviceState, r.Intn(4))
+		for j := range states {
+			states[j] = randomDeviceState(r)
+		}
+		blob := encodeDeviceStates(states...)
+		got, err := decodeDeviceStates(blob)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if again := encodeDeviceStates(got...); string(again) != string(blob) {
+			t.Fatalf("case %d: re-encoding changed the bytes", i)
+		}
+		for j := range states {
+			if !reflect.DeepEqual(got[j], inUTC(states[j])) {
+				t.Fatalf("case %d device %d:\n got %+v\nwant %+v", i, j, got[j], inUTC(states[j]))
+			}
+			ss := got[j].Identifier.Streamer
+			times := []time.Time{got[j].LastSeen}
+			for _, tx := range append(ss.Buffered, derefAll(ss.Anchor, ss.LastSeen)...) {
+				times = append(times, tx.Timestamp)
+			}
+			for _, ts := range times {
+				if ts.Location() != time.UTC {
+					t.Fatalf("case %d: restored time %v not in UTC", i, ts)
+				}
+			}
+		}
+	}
+
+	// The smallest device the format can hold: one-byte times and
+	// indexes, every string empty but the id, no transactions.
+	minimal := encodeDeviceStates(DeviceState{Device: "x", LastSeen: time.Unix(0, 0)})
+	if n := len(minimal) - len(stateMagic) - 1 - 4 - 4 - 1; n != minEncodedDevice {
+		t.Errorf("minimal device encodes to %d bytes, minEncodedDevice is %d", n, minEncodedDevice)
+	}
+	blob, export := realStateBlobs(t)
+	for _, b := range [][]byte{minimal, blob, export} {
+		states, err := decodeDeviceStates(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := encodeDeviceStates(states...); string(again) != string(b) {
+			t.Error("real state blob does not re-encode to the same bytes")
+		}
+	}
+}
+
+func derefAll(txs ...*weblog.Transaction) []weblog.Transaction {
+	var out []weblog.Transaction
+	for _, tx := range txs {
+		if tx != nil {
+			out = append(out, *tx)
+		}
+	}
+	return out
+}
+
+// TestDeviceStateCodecRejectsDamage: a blob cut short anywhere — with its
+// CRC restamped so the cut reaches the section decoders — a flipped CRC,
+// a foreign magic and an out-of-range string index all fail to decode,
+// with an error naming the damage.
+func TestDeviceStateCodecRejectsDamage(t *testing.T) {
+	blob, export := realStateBlobs(t)
+	body := blob[:len(blob)-4]
+	for cut := 0; cut < len(body); cut++ {
+		if _, err := decodeDeviceStates(restampCRC(body[:cut])); err == nil {
+			t.Fatalf("blob cut at byte %d of %d decoded", cut, len(body))
+		}
+	}
+	flipped := append([]byte(nil), blob...)
+	flipped[len(flipped)-1] ^= 0xff
+	enveloped := append([]byte(nil), blob...)
+	enveloped[0] = 0x01
+	for _, c := range []struct {
+		name string
+		blob []byte
+		want string
+	}{
+		{"flipped CRC", flipped, "CRC"},
+		{"envelope byte", enveloped, "magic"},
+		{"gzip JSON", []byte{0x1f, 0x8b, 0x08, 0x00}, "magic"},
+		{"string index", stringIndexOutOfRange(), "out of range"},
+		{"two devices as one", export, "want 1"},
+	} {
+		if _, err := decodeDeviceState(c.blob); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one mentioning %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestDiskStateStoreRefusesLegacyFiles: a directory holding the gzip-JSON
+// state files of an older build is refused at open, not silently skipped.
+func TestDiskStateStoreRefusesLegacyFiles(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "10.0.0.1.state.gz"), []byte{0x1f, 0x8b}, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDiskStateStore(dir); err == nil || !strings.Contains(err.Error(), "older build") {
+		t.Errorf("legacy state dir opened: %v", err)
 	}
 }

@@ -2,8 +2,12 @@ package features
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -310,117 +314,294 @@ func TestComposeUsersAndHosts(t *testing.T) {
 	}
 }
 
-func TestStreamerMatchesCompose(t *testing.T) {
-	configs := []WindowConfig{
+// workingHoursStream draws perDay transactions inside 9:00–17:00 of each
+// weekday from start for the given number of days, so consecutive days
+// are separated by overnight gaps and weeks by weekend gaps: the shape of
+// the paper's company traffic, where most stream time is idle.
+func workingHoursStream(r *rand.Rand, start time.Time, days, perDay int) []weblog.Transaction {
+	users := []string{"user_1", "user_2"}
+	cats := []string{"Games", "News", "Business/Economy"}
+	var out []weblog.Transaction
+	for d := 0; d < days; d++ {
+		day := start.AddDate(0, 0, d)
+		if wd := day.Weekday(); wd == time.Saturday || wd == time.Sunday {
+			continue
+		}
+		offs := make([]time.Duration, perDay)
+		for i := range offs {
+			offs[i] = 9*time.Hour + time.Duration(r.Int63n(int64(8*time.Hour)))
+		}
+		sort.Slice(offs, func(a, b int) bool { return offs[a] < offs[b] })
+		for _, off := range offs {
+			x := tx(0, users[r.Intn(len(users))], cats[r.Intn(len(cats))], "Rhapsody",
+				taxonomy.MediaType{Super: "text", Sub: "html"}, taxonomy.MinimalRisk)
+			x.Timestamp = day.Add(off)
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// streamerCase is one stream the streamer is checked on, with the window
+// configurations to check it under.
+type streamerCase struct {
+	name string
+	txs  []weblog.Transaction
+	cfgs []WindowConfig
+}
+
+// streamerCases are a dense corpus; two weeks of working-hours traffic —
+// overnight and weekend gaps; and the same two weeks followed by one day
+// ten years later. At S=30s that gap alone is ≈10.5M empty shifts, which
+// the slot-by-slot reference walks in about a second, so it runs under
+// that one configuration.
+func streamerCases() []streamerCase {
+	all := []WindowConfig{
 		{Duration: time.Minute, Shift: time.Minute},
 		{Duration: time.Minute, Shift: 30 * time.Second},
 		{Duration: 90 * time.Second, Shift: 10 * time.Second},
 	}
-	txs := windowCorpus()
-	v := Build(txs)
-	for _, cfg := range configs {
-		want, err := Compose(v, cfg, txs, "x")
-		if err != nil {
-			t.Fatalf("Compose: %v", err)
+	r := rand.New(rand.NewSource(9))
+	weeks := workingHoursStream(r, time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC), 14, 12)
+	later := workingHoursStream(r, time.Date(2025, 6, 2, 0, 0, 0, 0, time.UTC), 1, 12) // a Monday
+	return []streamerCase{
+		{"dense", windowCorpus(), all},
+		{"working hours", weeks, all},
+		{"ten-year gap", append(weeks[:len(weeks):len(weeks)], later...), all[1:2]},
+	}
+}
+
+// addSlotBySlot is Streamer.Add as it ran before idle gaps were skipped:
+// one build and one gc per window shift, empty or not. It is the
+// reference the O(1) gap jump must reproduce exactly.
+func addSlotBySlot(s *Streamer, x weblog.Transaction) []Window {
+	if !s.anchored {
+		s.anchored = true
+		s.anchor = x
+	}
+	s.lastSeen = x
+	var out []Window
+	for {
+		start := s.anchor.Timestamp.Add(time.Duration(s.nextIdx) * s.cfg.Shift)
+		end := start.Add(s.cfg.Duration)
+		if x.Timestamp.Before(end) {
+			break
 		}
-		st, err := NewStreamer(v, cfg, "x")
-		if err != nil {
-			t.Fatalf("NewStreamer: %v", err)
+		if w, ok := s.build(start, end); ok {
+			out = append(out, w)
 		}
-		var got []Window
-		for _, x := range txs {
-			ws, err := st.Add(x)
+		s.nextIdx++
+		s.gc(start.Add(s.cfg.Shift))
+	}
+	s.buf = append(s.buf, x)
+	return out
+}
+
+// slotRun is the slot-by-slot reference run of one stream: every window
+// (Close included) and, after each Add, the emitted count and next
+// window index.
+type slotRun struct {
+	windows []Window
+	emitted []int
+	nextIdx []int
+}
+
+// slotRefs caches slotReference runs across tests: walking the ten-year
+// gap slot by slot is the slow part of this package's tests.
+var slotRefs = map[string]slotRun{}
+
+func slotReference(t *testing.T, name string, v *Vocabulary, cfg WindowConfig, txs []weblog.Transaction) slotRun {
+	t.Helper()
+	key := name + " " + cfg.String()
+	if ref, ok := slotRefs[key]; ok {
+		return ref
+	}
+	s, err := NewStreamer(v, cfg, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref slotRun
+	for _, x := range txs {
+		ref.windows = append(ref.windows, addSlotBySlot(s, x)...)
+		ref.emitted = append(ref.emitted, s.Emitted())
+		ref.nextIdx = append(ref.nextIdx, s.nextIdx)
+	}
+	ref.windows = append(ref.windows, s.Close()...)
+	slotRefs[key] = ref
+	return ref
+}
+
+// sameWindows reports the first difference between two window sequences.
+func sameWindows(got, want []Window) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d windows, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Start.Equal(want[i].Start) || !got[i].End.Equal(want[i].End) ||
+			got[i].Count != want[i].Count || !slices.Equal(got[i].Vector.Idx, want[i].Vector.Idx) ||
+			!slices.Equal(got[i].Vector.Val, want[i].Vector.Val) ||
+			!reflect.DeepEqual(got[i].UserCounts, want[i].UserCounts) {
+			return fmt.Errorf("window %d differs: %+v vs %+v", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// TestStreamerMatchesCompose: the streamer emits exactly Compose's windows
+// — on a dense corpus and on working-hours traffic with overnight,
+// weekend and ten-year gaps — and its windows, Emitted() and next window
+// index after every Add match the slot-by-slot reference.
+func TestStreamerMatchesCompose(t *testing.T) {
+	for _, c := range streamerCases() {
+		name, txs := c.name, c.txs
+		v := Build(txs)
+		for _, cfg := range c.cfgs {
+			want, err := Compose(v, cfg, txs, "x")
 			if err != nil {
-				t.Fatalf("Add: %v", err)
+				t.Fatalf("Compose: %v", err)
 			}
-			got = append(got, ws...)
-		}
-		got = append(got, st.Close()...)
-		if len(got) != len(want) {
-			t.Fatalf("%v: streamer emitted %d windows, compose %d", cfg, len(got), len(want))
-		}
-		for i := range got {
-			if !got[i].Start.Equal(want[i].Start) || got[i].Count != want[i].Count {
-				t.Errorf("%v: window %d differs: %+v vs %+v", cfg, i, got[i], want[i])
+			ref := slotReference(t, name, v, cfg, txs)
+			if err := sameWindows(ref.windows, want); err != nil {
+				t.Fatalf("%s %v: slot-by-slot reference vs Compose: %v", name, cfg, err)
 			}
-			if got[i].Vector.Key() != want[i].Vector.Key() {
-				t.Errorf("%v: window %d vectors differ", cfg, i)
+			st, err := NewStreamer(v, cfg, "x")
+			if err != nil {
+				t.Fatalf("NewStreamer: %v", err)
 			}
-		}
-		if st.Emitted() != len(want) {
-			t.Errorf("Emitted = %d, want %d", st.Emitted(), len(want))
+			var got []Window
+			for i, x := range txs {
+				ws, err := st.Add(x)
+				if err != nil {
+					t.Fatalf("Add: %v", err)
+				}
+				got = append(got, ws...)
+				if st.Emitted() != ref.emitted[i] || st.Snapshot().NextIdx != ref.nextIdx[i] {
+					t.Fatalf("%s %v: after tx %d Emitted/NextIdx = %d/%d, slot-by-slot %d/%d", name, cfg, i,
+						st.Emitted(), st.Snapshot().NextIdx, ref.emitted[i], ref.nextIdx[i])
+				}
+			}
+			got = append(got, st.Close()...)
+			if err := sameWindows(got, want); err != nil {
+				t.Fatalf("%s %v: streamer vs Compose: %v", name, cfg, err)
+			}
+			if st.Emitted() != len(want) {
+				t.Errorf("%s %v: Emitted = %d, want %d", name, cfg, st.Emitted(), len(want))
+			}
 		}
 	}
 }
 
 // TestStreamerSnapshotResume is the durable-state property: snapshotting a
 // streamer at any point of the stream — with the state pushed through a
-// JSON round trip, as the core state store does — and restoring it must
-// produce exactly the window sequence of the uninterrupted run (which
-// TestStreamerMatchesCompose pins to Compose). Splits at every index cover
-// the edge positions: before the anchor, mid-window, and on window
-// boundaries.
+// serialization round trip, as the core state store does — and restoring
+// it must produce exactly the window sequence of the uninterrupted run
+// (which TestStreamerMatchesCompose pins to Compose). Splits at every
+// index cover the edge positions: before the anchor, mid-window, on
+// window boundaries and on either side of every idle gap; each snapshot's
+// NextIdx and EmitCount must equal the slot-by-slot reference's.
 func TestStreamerSnapshotResume(t *testing.T) {
-	configs := []WindowConfig{
-		{Duration: time.Minute, Shift: time.Minute},
-		{Duration: time.Minute, Shift: 30 * time.Second},
-		{Duration: 90 * time.Second, Shift: 10 * time.Second},
+	for _, c := range streamerCases() {
+		name, txs := c.name, c.txs
+		v := Build(txs)
+		for _, cfg := range c.cfgs {
+			want, err := Compose(v, cfg, txs, "x")
+			if err != nil {
+				t.Fatalf("Compose: %v", err)
+			}
+			ref := slotReference(t, name, v, cfg, txs)
+			for split := 0; split <= len(txs); split++ {
+				st, err := NewStreamer(v, cfg, "x")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []Window
+				for _, x := range txs[:split] {
+					ws, err := st.Add(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, ws...)
+				}
+				snap := st.Snapshot()
+				if split > 0 && (snap.NextIdx != ref.nextIdx[split-1] || snap.EmitCount != ref.emitted[split-1]) {
+					t.Fatalf("%s %v split %d: snapshot NextIdx/EmitCount = %d/%d, slot-by-slot %d/%d", name, cfg, split,
+						snap.NextIdx, snap.EmitCount, ref.nextIdx[split-1], ref.emitted[split-1])
+				}
+				blob, err := json.Marshal(snap)
+				if err != nil {
+					t.Fatalf("marshal state: %v", err)
+				}
+				var state StreamerState
+				if err := json.Unmarshal(blob, &state); err != nil {
+					t.Fatalf("unmarshal state: %v", err)
+				}
+				resumed, err := RestoreStreamer(v, cfg, state)
+				if err != nil {
+					t.Fatalf("RestoreStreamer at split %d: %v", split, err)
+				}
+				for _, x := range txs[split:] {
+					ws, err := resumed.Add(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, ws...)
+				}
+				got = append(got, resumed.Close()...)
+				if err := sameWindows(got, want); err != nil {
+					t.Fatalf("%s %v split %d: %v", name, cfg, split, err)
+				}
+				if resumed.Emitted() != len(want) {
+					t.Errorf("%s %v split %d: Emitted = %d, want %d (emit count not restored)",
+						name, cfg, split, resumed.Emitted(), len(want))
+				}
+			}
+		}
 	}
+}
+
+// TestStreamerRejectsUnaddressableGap: a transaction further from the
+// stream's anchor than window arithmetic can address is refused, not
+// walked slot by slot.
+func TestStreamerRejectsUnaddressableGap(t *testing.T) {
 	txs := windowCorpus()
-	v := Build(txs)
-	for _, cfg := range configs {
-		want, err := Compose(v, cfg, txs, "x")
-		if err != nil {
-			t.Fatalf("Compose: %v", err)
-		}
-		for split := 0; split <= len(txs); split++ {
-			st, err := NewStreamer(v, cfg, "x")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []Window
-			for _, x := range txs[:split] {
-				ws, err := st.Add(x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, ws...)
-			}
-			blob, err := json.Marshal(st.Snapshot())
-			if err != nil {
-				t.Fatalf("marshal state: %v", err)
-			}
-			var state StreamerState
-			if err := json.Unmarshal(blob, &state); err != nil {
-				t.Fatalf("unmarshal state: %v", err)
-			}
-			resumed, err := RestoreStreamer(v, cfg, state)
-			if err != nil {
-				t.Fatalf("RestoreStreamer at split %d: %v", split, err)
-			}
-			for _, x := range txs[split:] {
-				ws, err := resumed.Add(x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, ws...)
-			}
-			got = append(got, resumed.Close()...)
-			if len(got) != len(want) {
-				t.Fatalf("%v split %d: %d windows, want %d", cfg, split, len(got), len(want))
-			}
-			for i := range got {
-				if !got[i].Start.Equal(want[i].Start) || !got[i].End.Equal(want[i].End) ||
-					got[i].Count != want[i].Count || got[i].Vector.Key() != want[i].Vector.Key() {
-					t.Errorf("%v split %d: window %d differs: %+v vs %+v", cfg, split, i, got[i], want[i])
-				}
-			}
-			if resumed.Emitted() != len(want) {
-				t.Errorf("%v split %d: Emitted = %d, want %d (emit count not restored)",
-					cfg, split, resumed.Emitted(), len(want))
-			}
-		}
+	st, err := NewStreamer(Build(txs), WindowConfig{Duration: time.Minute, Shift: 30 * time.Second}, "x")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := st.Add(txs[0]); err != nil {
+		t.Fatal(err)
+	}
+	far := txs[1]
+	far.Timestamp = far.Timestamp.AddDate(300, 0, 0)
+	if _, err := st.Add(far); err == nil {
+		t.Fatal("transaction 300 years past the anchor accepted")
+	}
+	if _, err := st.Add(txs[1]); err != nil {
+		t.Fatalf("streamer unusable after the refused transaction: %v", err)
+	}
+}
+
+// BenchmarkStreamerIdleGaps feeds four weeks of working-hours traffic —
+// ≈40 transactions a day, the rest of the stream time idle — through a
+// fresh streamer per iteration and reports ns/tx.
+func BenchmarkStreamerIdleGaps(b *testing.B) {
+	txs := workingHoursStream(rand.New(rand.NewSource(3)), time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC), 28, 40)
+	v := Build(txs)
+	cfg := WindowConfig{Duration: time.Minute, Shift: 30 * time.Second}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := NewStreamer(v, cfg, "x")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, x := range txs {
+			if _, err := st.Add(x); err != nil {
+				b.Fatal(err)
+			}
+		}
+		st.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(txs)), "ns/tx")
 }
 
 // TestRestoreStreamerRejectsCorruptState covers the validation paths of

@@ -62,17 +62,26 @@ func (s *Streamer) Add(tx weblog.Transaction) ([]Window, error) {
 		return nil, fmt.Errorf("features: out-of-order transaction at %v (last %v)",
 			tx.Timestamp, s.lastSeen.Timestamp)
 	}
+	// Every window before the first one ending after tx ends at or
+	// before the new arrival: no later transaction can fall inside it,
+	// so emit it now.
+	first, ok := s.cfg.firstEndingAfter(s.anchor.Timestamp, tx.Timestamp)
+	if !ok {
+		return nil, fmt.Errorf("features: transaction at %v is beyond the window range of the stream anchored at %v",
+			tx.Timestamp, s.anchor.Timestamp)
+	}
 	s.lastSeen = tx
-	// Emit every window whose end is at or before the new arrival: no
-	// later transaction can fall inside it.
 	var out []Window
-	for {
-		start := s.anchor.Timestamp.Add(time.Duration(s.nextIdx) * s.cfg.Shift)
-		end := start.Add(s.cfg.Duration)
-		if tx.Timestamp.Before(end) {
+	for s.nextIdx < first {
+		if len(s.buf) == 0 {
+			// Nothing pending: the rest are empty, so an idle gap costs
+			// O(1) instead of a build and a gc per shift, and nextIdx
+			// lands exactly where stepping through them would leave it.
+			s.nextIdx = first
 			break
 		}
-		if w, ok := s.build(start, end); ok {
+		start := s.cfg.windowStart(s.anchor.Timestamp, s.nextIdx)
+		if w, ok := s.build(start, start.Add(s.cfg.Duration)); ok {
 			out = append(out, w)
 		}
 		s.nextIdx++
@@ -93,7 +102,7 @@ func (s *Streamer) Close() []Window {
 	s.closed = true
 	var out []Window
 	for {
-		start := s.anchor.Timestamp.Add(time.Duration(s.nextIdx) * s.cfg.Shift)
+		start := s.cfg.windowStart(s.anchor.Timestamp, s.nextIdx)
 		if start.After(s.lastSeen.Timestamp) {
 			break
 		}
@@ -117,18 +126,19 @@ func (s *Streamer) Emitted() int { return s.emitCount }
 // the checkpoint/resume property the durable identifier state in core
 // builds on (TestStreamerSnapshotResume proves it against Compose).
 //
-// The state is plain data with JSON tags; it carries no vocabulary or
-// window configuration — RestoreStreamer re-binds it to those, so the
-// snapshot stays valid as long as the profile bundle it belongs to does.
+// The state is plain data (core encodes it into device state blobs); it
+// carries no vocabulary or window configuration — RestoreStreamer
+// re-binds it to those, so the snapshot stays valid as long as the
+// profile bundle it belongs to does.
 type StreamerState struct {
-	Entity    string               `json:"entity"`
-	Anchored  bool                 `json:"anchored,omitempty"`
-	Closed    bool                 `json:"closed,omitempty"`
-	NextIdx   int                  `json:"next_idx,omitempty"`
-	EmitCount int                  `json:"emit_count,omitempty"`
-	Anchor    *weblog.Transaction  `json:"anchor,omitempty"`
-	LastSeen  *weblog.Transaction  `json:"last_seen,omitempty"`
-	Buffered  []weblog.Transaction `json:"buffered,omitempty"`
+	Entity    string
+	Anchored  bool
+	Closed    bool
+	NextIdx   int
+	EmitCount int
+	Anchor    *weblog.Transaction
+	LastSeen  *weblog.Transaction
+	Buffered  []weblog.Transaction
 }
 
 // Snapshot captures the streamer's full resumable state. The buffered
@@ -167,6 +177,9 @@ func RestoreStreamer(vocab *Vocabulary, cfg WindowConfig, st StreamerState) (*St
 		if st.Anchor != nil || st.LastSeen != nil || len(st.Buffered) > 0 {
 			return nil, fmt.Errorf("features: unanchored streamer state for %q carries transactions", st.Entity)
 		}
+		if !st.Closed && st.NextIdx != 0 {
+			return nil, fmt.Errorf("features: unanchored streamer state for %q has window position %d", st.Entity, st.NextIdx)
+		}
 		s.closed = st.Closed
 		s.nextIdx = st.NextIdx
 		s.emitCount = st.EmitCount
@@ -183,6 +196,11 @@ func RestoreStreamer(vocab *Vocabulary, cfg WindowConfig, st StreamerState) (*St
 	if n := len(st.Buffered); n > 0 && st.LastSeen.Timestamp.Before(st.Buffered[n-1].Timestamp) {
 		return nil, fmt.Errorf("features: streamer state for %q has last-seen before buffered tail", st.Entity)
 	}
+	if !st.Closed {
+		if err := checkWindowPosition(cfg, st); err != nil {
+			return nil, err
+		}
+	}
 	s.anchored = true
 	s.anchor = *st.Anchor
 	s.lastSeen = *st.LastSeen
@@ -191,6 +209,25 @@ func RestoreStreamer(vocab *Vocabulary, cfg WindowConfig, st StreamerState) (*St
 	s.emitCount = st.EmitCount
 	s.buf = append([]weblog.Transaction(nil), st.Buffered...)
 	return s, nil
+}
+
+// checkWindowPosition verifies the invariant Add keeps for an open,
+// anchored stream: at least one transaction is pending, and every pending
+// one — the last-seen included — lies inside the window at NextIdx. A
+// state breaking it (corrupt, or taken under another window
+// configuration) would make the restored streamer walk windows without
+// bound, so it is rejected.
+func checkWindowPosition(cfg WindowConfig, st StreamerState) error {
+	if len(st.Buffered) == 0 {
+		return fmt.Errorf("features: open streamer state for %q has no buffered transactions", st.Entity)
+	}
+	anchor, first := st.Anchor.Timestamp, st.Buffered[0].Timestamp
+	last, ok := cfg.firstEndingAfter(anchor, st.LastSeen.Timestamp)
+	if !ok || first.Before(anchor) || st.NextIdx < last || st.NextIdx > int(first.Sub(anchor)/cfg.Shift) {
+		return fmt.Errorf("features: streamer state for %q has window position %d outside its buffered transactions",
+			st.Entity, st.NextIdx)
+	}
+	return nil
 }
 
 // build aggregates buffered transactions inside [start, end) using the

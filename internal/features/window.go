@@ -29,6 +29,28 @@ func (c WindowConfig) Validate() error {
 	return nil
 }
 
+// windowStart returns the start of window k of a stream anchored at t0.
+func (c WindowConfig) windowStart(t0 time.Time, k int) time.Time {
+	return t0.Add(time.Duration(k) * c.Shift)
+}
+
+// firstEndingAfter returns the index of the first window of a stream
+// anchored at t0 that ends after ts: every earlier window ends at or
+// before ts. It lets a composer with no transaction pending skip an idle
+// gap in O(1) instead of stepping through its empty windows one shift at
+// a time. ok is false when ts lies beyond the window range time.Duration
+// arithmetic can address from t0 (about 292 years).
+func (c WindowConfig) firstEndingAfter(t0, ts time.Time) (k int, ok bool) {
+	d := ts.Sub(t0) - c.Duration
+	if d < 0 {
+		return 0, true
+	}
+	k = int(d/c.Shift) + 1
+	// ts.Sub saturates on overflow, which undercounts k: the window found
+	// would then end at or before ts.
+	return k, ts.Before(c.windowStart(t0, k).Add(c.Duration))
+}
+
 // String renders the config as "D=60s S=30s".
 func (c WindowConfig) String() string {
 	return fmt.Sprintf("D=%s S=%s", c.Duration, c.Shift)
@@ -89,7 +111,7 @@ func Compose(vocab *Vocabulary, cfg WindowConfig, txs []weblog.Transaction, enti
 	last := txs[len(txs)-1].Timestamp
 	lo := 0 // first transaction with Timestamp >= start
 	for k := 0; ; k++ {
-		start := t0.Add(time.Duration(k) * cfg.Shift)
+		start := cfg.windowStart(t0, k)
 		if start.After(last) {
 			break
 		}
@@ -100,15 +122,20 @@ func Compose(vocab *Vocabulary, cfg WindowConfig, txs []weblog.Transaction, enti
 		if lo >= len(txs) {
 			break
 		}
+		if !txs[lo].Timestamp.Before(end) {
+			// Idle gap: every window before the first one ending after
+			// txs[lo] is empty, so jump there (the loop's k++ lands on it).
+			if next, _ := cfg.firstEndingAfter(t0, txs[lo].Timestamp); next > k+1 {
+				k = next - 1
+			}
+			continue
+		}
 		acc.Reset()
 		users := make(map[string]int)
 		for i := lo; i < len(txs) && txs[i].Timestamp.Before(end); i++ {
 			vocab.ExtractInto(&txs[i], &scratch)
 			acc.Add(scratch)
 			users[txs[i].UserID]++
-		}
-		if acc.Count() == 0 {
-			continue
 		}
 		windows = append(windows, Window{
 			Start:      start,

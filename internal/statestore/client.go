@@ -107,7 +107,7 @@ type pendEntry struct {
 // Client is the write-behind core.StateStore backend over a state
 // server. Put is a local queue write (never a network call); Get reads
 // pending local writes first, then the server; Delete and Devices are
-// synchronous RPCs. Safe for concurrent use.
+// synchronous RPCs, and Devices flushes first. Safe for concurrent use.
 //
 // Each monitor needs its own Client: the dirty queue and version cache
 // are the *owner's* pending view of the tier, and sharing one across
@@ -117,6 +117,11 @@ type Client struct {
 	addr string
 
 	flushes, flushedPuts, staleDrops, queueFull, flushFailures atomic.Uint64
+
+	// flushMu serializes whole flushes, from taking the queue to retiring
+	// or requeueing it, so a Flush starts only once an earlier batch is
+	// settled either way. Acquired before mu and rpcMu, never under them.
+	flushMu sync.Mutex
 
 	// mu guards the queue and version state. Never held across a network
 	// call — flushOnce snapshots under mu, RPCs outside it.
@@ -305,64 +310,41 @@ func (c *Client) Delete(device string) error {
 	return nil
 }
 
-// Devices lists every device with state in the tier: the server's view
-// merged with this client's still-pending writes.
+// Devices lists every device with state on the server. It runs Flush
+// first, so the listing includes this client's own writes and is a
+// barrier: once Devices returns, every write this client queued before
+// the call is readable by the server's other clients. Core's
+// Monitor.TrackedDevices relies on that through any StateStore
+// decorator, which forwards Devices but may hide Flush.
 func (c *Client) Devices() ([]string, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	c.mu.Unlock()
+	if err := c.Flush(); err != nil {
+		return nil, err
+	}
 	resp, err := c.rpc(message{op: opList})
 	if err != nil {
 		return nil, err
 	}
-	set := make(map[string]struct{}, len(resp.devices))
-	for _, d := range resp.devices {
-		set[strings.Clone(d)] = struct{}{}
-	}
-	c.mu.Lock()
-	for d := range c.dirty {
-		set[d] = struct{}{}
-	}
-	for d, e := range c.inflight {
-		if c.fences[d] < e.ver {
-			set[d] = struct{}{}
-		}
-	}
-	c.mu.Unlock()
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
+	out := make([]string, len(resp.devices))
+	for i, d := range resp.devices {
+		out[i] = strings.Clone(d)
 	}
 	sort.Strings(out)
 	return out, nil
 }
 
-// Flush synchronously drains the write-behind queue: every dirty and
-// in-flight entry is pushed to the server (or its error returned). The
-// barrier before a membership change or shutdown.
+// Flush synchronously pushes every write queued before the call to the
+// server, or returns the error: the barrier before a membership change or
+// shutdown. It waits out a flush already in flight, then sends the queue
+// as one batch; writes queued while it runs are left to the background
+// flusher, so a steady stream of Puts cannot hold it up.
 func (c *Client) Flush() error {
-	for {
-		c.mu.Lock()
-		d, f := len(c.dirty), len(c.inflight)
-		c.mu.Unlock()
-		if d == 0 && f == 0 {
-			return nil
-		}
-		if d > 0 {
-			if err := c.flushOnce(true); err != nil {
-				return err
-			}
-			continue
-		}
-		// In-flight only: the background flusher's RPC holds rpcMu, so
-		// acquiring it is the barrier; by release the entries are either
-		// acknowledged or requeued into dirty.
-		c.rpcMu.Lock()
-		c.rpcMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
-	}
+	return c.flushOnce(true)
 }
 
 // Close stops the flusher after a final best-effort flush and drops the
@@ -414,6 +396,8 @@ func (c *Client) flusher() {
 // above the sent one (equal: applied; above: superseded — either way the
 // write-behind obligation is met).
 func (c *Client) flushOnce(force bool) error {
+	c.flushMu.Lock()
+	defer c.flushMu.Unlock()
 	c.mu.Lock()
 	if len(c.dirty) == 0 {
 		c.mu.Unlock()

@@ -12,7 +12,9 @@
 // into a bounded dirty queue flushed by count or age — so the monitor's
 // hot eviction path is a map write, while Get reads through (pending
 // local writes first, then the server) and Delete and Devices are
-// synchronous RPCs.
+// synchronous RPCs. Devices flushes the queue first, so it is also a
+// barrier: what the client queued before the call is on the server when
+// it returns.
 //
 // # Device lifecycle through the tier
 //

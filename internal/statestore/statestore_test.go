@@ -156,13 +156,58 @@ func TestGetReadsThroughDirtyQueue(t *testing.T) {
 	if gets := srv.Stats().Gets; gets != 0 {
 		t.Fatalf("server saw %d gets for a dirty-queue hit, want 0", gets)
 	}
-	// The queued entry lists locally before any flush.
+	// The queued entry is listed: Devices flushes it first.
 	devices, err := c.Devices()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(devices) != 1 || devices[0] != "dev" {
 		t.Fatalf("Devices = %v, want [dev]", devices)
+	}
+}
+
+// TestDevicesIsFlushBarrier: Devices pushes the caller's queued writes
+// before it lists, so another client reads them as soon as it returns —
+// the barrier a warm restore takes on a device's old owner — and Flush
+// returns while Puts keep arriving.
+func TestDevicesIsFlushBarrier(t *testing.T) {
+	srv := startServer(t, ServerConfig{})
+	owner := dialServer(t, srv, manualFlush)
+	next := dialServer(t, srv, manualFlush)
+
+	mustPut(t, owner, "dev", []byte("v1"))
+	if _, ok := mustGet(t, next, "dev"); ok {
+		t.Fatal("a queued write is readable before any flush")
+	}
+	if _, err := owner.Devices(); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := mustGet(t, next, "dev"); !ok || string(got) != "v1" {
+		t.Fatalf("after Devices another client reads %q ok=%v, want v1", got, ok)
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			owner.Put(fmt.Sprintf("hot-%d", i%100), []byte("x")) // ErrQueueFull is fine here
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	flushed := make(chan error, 1)
+	go func() { flushed <- owner.Flush() }()
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Flush did not return while Puts kept arriving")
 	}
 }
 
@@ -511,7 +556,7 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("envelope round trip: ver %d ok=%v", gotVer, ok)
 		}
 	}
-	if _, _, ok := decodeEnvelope([]byte(`{"json":"plain state"}`)); ok {
-		t.Fatal("plain JSON decoded as an envelope")
+	if _, _, ok := decodeEnvelope([]byte("WTPS\x02plain binary state")); ok {
+		t.Fatal("plain device state decoded as an envelope")
 	}
 }

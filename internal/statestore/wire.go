@@ -285,8 +285,9 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 // version byte, the device's uvarint version, then the raw blob — so the
 // monotonic fence survives a server restart over the same directory. A
 // backing blob without the envelope (a plain -state-dir promoted to the
-// shared tier) is adopted as version 1: JSON state never starts with
-// byte 0x01, so the two are unambiguous.
+// shared tier) is adopted as version 1: core's binary device state
+// starts with its "WTPS" magic, never byte 0x01, so the two are
+// unambiguous.
 const envelopeVersion = 0x01
 
 func appendEnvelope(dst []byte, ver uint64, blob []byte) []byte {

@@ -79,7 +79,8 @@ type (
 	StateStore = core.StateStore
 	// MemStateStore is the in-process StateStore.
 	MemStateStore = core.MemStateStore
-	// DiskStateStore is the directory-backed gzip-JSON StateStore.
+	// DiskStateStore is the directory-backed StateStore: one binary
+	// device-state file per device.
 	DiskStateStore = core.DiskStateStore
 	// IdentifierState is a serializable streaming-identifier snapshot.
 	IdentifierState = core.IdentifierState
