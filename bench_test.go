@@ -797,9 +797,11 @@ func BenchmarkMonitorCheckpointRestore(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorShardHandoff measures ExportShard→ImportShard over the
-// whole device population — the serialization cost of moving shards
-// between processes, reporting the handoff payload size.
+// BenchmarkMonitorShardHandoff measures the two-phase handoff over the
+// whole device population — ExportStaged, StageImport and both
+// CommitHandoffs, looped back into the same monitor — the serialization
+// cost of moving devices between processes, reporting the handoff
+// payload size.
 func BenchmarkMonitorShardHandoff(b *testing.B) {
 	const devices = 1_000
 	const shards = 16
@@ -819,15 +821,20 @@ func BenchmarkMonitorShardHandoff(b *testing.B) {
 	b.ResetTimer()
 	var moved int64
 	for i := 0; i < b.N; i++ {
-		for s := 0; s < shards; s++ {
-			blob, err := mon.ExportShard(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			moved += int64(len(blob))
-			if _, err := mon.ImportShard(blob); err != nil {
-				b.Fatal(err)
-			}
+		out, in := fmt.Sprintf("out-%d", i), fmt.Sprintf("in-%d", i)
+		blob, n, err := mon.ExportStaged(out, names)
+		if err != nil || n != devices {
+			b.Fatalf("ExportStaged = %d, %v", n, err)
+		}
+		moved += int64(len(blob))
+		if _, err := mon.StageImport(in, blob); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := mon.CommitHandoff(in); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := mon.CommitHandoff(out); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()

@@ -104,8 +104,12 @@
 // moves through a small lifecycle:
 //
 //	live ──(idle eviction with MonitorConfig.Spill)──► spilled ──(next
-//	transaction)──► rehydrated — or, between processes, exported
-//	(Monitor.ExportShard) ──► imported (Monitor.ImportShard).
+//	transaction)──► rehydrated — or, between processes, handed off:
+//
+//	  source: ExportStaged(id) ──► held ──CommitHandoff(id)──► released
+//	                                 └──AbortHandoff(id)──► live again
+//	  target: StageImport(id) ──► staged ──CommitHandoff(id)──► live
+//	                                 └──AbortHandoff(id)──► dropped
 //
 // A StateStore holds spilled devices: NewMemStateStore keeps them
 // in-process (eviction bounds live identifier memory without losing
@@ -113,10 +117,10 @@
 // state survives restarts (profilerd's -state-dir; Monitor.Checkpoint
 // spills every live device for a graceful shutdown). Resume is exact:
 // an evicting-and-rehydrating monitor emits the identical alert sequence
-// to a never-evicting one, and ExportShard→ImportShard preserves every
+// to a never-evicting one, and the two-phase handoff preserves every
 // device's pending windows and streaks — both properties are asserted by
 // tests. Every byte form of device state — spill files, the shared
-// tier's blobs, shard exports and handoff payloads — is one binary codec
+// tier's blobs and handoff payloads — is one binary codec
 // (a per-blob string table, transactions in the binary-record field
 // layout, a CRC-32C trailer) carrying a format version, checked on decode
 // like the profile bundle's.
@@ -125,11 +129,10 @@
 //
 // Past one process, the engine scales out over the shard-handoff
 // primitives: ClusterNodes each run a sharded Monitor over the same
-// trained bundle and speak a length-prefixed wire protocol (versioned
-// per connection: JSON v1 for compatibility, compact binary v2 — feeds
-// as zero-copy binary transaction records — negotiated in the hello
-// exchange; handoffs travel as the versioned state blobs above in both,
-// plus an alert push stream), and a ClusterRouter fronts them.
+// trained bundle and speak a length-prefixed binary frame protocol
+// (feeds as zero-copy binary transaction records, handoffs as the
+// versioned state blobs above, plus an alert push stream), and a
+// ClusterRouter fronts them.
 //
 // The router's placement guarantee: every device is owned by the member
 // with the highest rendezvous-hash score for it, so a membership change

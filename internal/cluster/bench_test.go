@@ -9,13 +9,12 @@ import (
 	"webtxprofile/internal/weblog"
 )
 
-// benchNodeFeed measures client→node feed throughput over loopback TCP
-// at the given wire-version cap (transactions/op = 1): encode, frame,
-// decode and FeedBatch into the node's monitor. Feed only enqueues, so
-// the timer runs through the final Flush, which the node answers only
-// after processing every batch queued before it (plus closing the
-// devices' pending windows, once per run).
-func benchNodeFeed(b *testing.B, maxWire int) {
+// BenchmarkNodeFeed measures client→node feed throughput over loopback
+// TCP (transactions/op = 1): encode, frame, decode and FeedBatch into the
+// node's monitor. Feed only enqueues, so the timer runs through the final
+// Flush, which the node answers only after processing every batch queued
+// before it (plus closing the devices' pending windows, once per run).
+func BenchmarkNodeFeed(b *testing.B) {
 	set, ds := clustertest.TrainedSet(b)
 	base, _ := clustertest.Workload(b, ds, 64, 4096)
 	span := base[len(base)-1].Timestamp.Sub(base[0].Timestamp) + time.Hour
@@ -25,23 +24,20 @@ func benchNodeFeed(b *testing.B, maxWire int) {
 		b.Fatal(err)
 	}
 	defer n.Close()
-	c, err := cluster.DialNodeWire(n.Addr().String(), nil, maxWire)
+	c, err := cluster.DialNode(n.Addr().String(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	if c.Wire() != maxWire {
-		b.Fatalf("negotiated wire %d, want %d", c.Wire(), maxWire)
-	}
 
 	const batch = 512
-	buf := make([]weblog.Transaction, 0, batch)
 	b.ResetTimer()
 	fed := 0
 	for fed < b.N {
 		// Replay the workload in laps, each lap shifted forward so
-		// per-device timestamps stay non-decreasing.
-		buf = buf[:0]
+		// per-device timestamps stay non-decreasing. Each batch gets its
+		// own slice: Feed queues it by reference until the node acks it.
+		buf := make([]weblog.Transaction, 0, batch)
 		for len(buf) < batch && fed+len(buf) < b.N {
 			i := fed + len(buf)
 			tx := base[i%len(base)]
@@ -56,12 +52,4 @@ func benchNodeFeed(b *testing.B, maxWire int) {
 	if err := c.Flush(); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// BenchmarkNodeFeed compares cluster feed throughput across the two wire
-// encodings: v1 JSON frames carrying log lines versus v2 binary frames
-// carrying zero-copy transaction records.
-func BenchmarkNodeFeed(b *testing.B) {
-	b.Run("wire1", func(b *testing.B) { benchNodeFeed(b, cluster.WireV1) })
-	b.Run("wire2", func(b *testing.B) { benchNodeFeed(b, cluster.WireV2) })
 }

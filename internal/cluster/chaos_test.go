@@ -1,15 +1,18 @@
 package cluster_test
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"strings"
 	"testing"
 
 	"webtxprofile/internal/cluster"
 	"webtxprofile/internal/cluster/clustertest"
+	"webtxprofile/internal/weblog"
 )
 
 // Fault-injection suite for the drain path: a router facing a node that
-// refuses or dies on ImportShard must keep the affected devices on their
+// refuses or dies on an import must keep the affected devices on their
 // old owner with no identification state lost, and membership events must
 // be idempotent. The failing nodes are protocol-level impostors
 // (clustertest.FlakyNode), so the router is tested against real wire
@@ -82,11 +85,36 @@ func TestClusterImporterDiesMidDrain(t *testing.T) {
 	runFlakyJoin(t, clustertest.DieOnImport)
 }
 
+// damagedStateBlobs returns copies of a healthy core device-state blob
+// broken the ways the state codec must catch: bad magic, a flipped CRC
+// trailer, a future format version (CRC restamped, so the version check
+// is what refuses it) and no bytes at all. The layout is core's: a 4-byte
+// "WTPS" magic, the version as a one-byte uvarint, then the body and a
+// little-endian CRC-32C trailer over everything before it.
+func damagedStateBlobs(blob []byte) map[string][]byte {
+	damage := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), blob...)
+		f(b)
+		return b
+	}
+	restamp := func(b []byte) {
+		body := b[:len(b)-4]
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	}
+	return map[string][]byte{
+		"bad magic":      damage(func(b []byte) { b[0] ^= 0xff }),
+		"flipped crc":    damage(func(b []byte) { b[len(b)-1] ^= 0x01 }),
+		"future version": damage(func(b []byte) { b[4]++; restamp(b) }),
+		"empty":          nil,
+	}
+}
+
 // TestNodeRejectsCorruptImport: a corrupt state blob must fail exactly
-// the import RPC — the node survives it and keeps identifying.
+// the import RPC — the node survives it, stages nothing, and keeps
+// identifying — and a healthy two-phase handoff works afterwards.
 func TestNodeRejectsCorruptImport(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
-	txs, _ := clustertest.Workload(t, ds, 2, 100)
+	txs, devices := clustertest.Workload(t, ds, 2, 100)
 	h := clustertest.NewHarness(t, set, equivK, "lone")
 	n := h.Node("lone")
 
@@ -95,26 +123,47 @@ func TestNodeRejectsCorruptImport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for _, blob := range [][]byte{nil, []byte("not gzip"), {0x1f, 0x8b, 0xff, 0xff}} {
-		if _, err := c.Import(blob); err == nil {
-			t.Errorf("corrupt blob %q imported without error", blob)
+	half := len(txs) / 2
+	if err := c.FeedSync(txs[:half]); err != nil {
+		t.Fatal(err)
+	}
+	moved := devices[0]
+	blob, exported, err := c.ExportHandoff("out", []string{moved})
+	if err != nil || exported != 1 {
+		t.Fatalf("ExportHandoff = %d, %v; want 1", exported, err)
+	}
+	for name, bad := range damagedStateBlobs(blob) {
+		if _, err := c.ImportHandoff("bad/"+name, bad); err == nil {
+			t.Errorf("%s blob imported without error", name)
 		}
 	}
+	if pending := n.Monitor().PendingHandoffs(); pending != 1 {
+		t.Errorf("%d handoffs pending after the refused imports, want only the export", pending)
+	}
 	// The failing transactions are the imports only: the node still
-	// feeds, exports and reports stats afterwards.
-	if err := c.Feed(txs); err != nil {
+	// feeds and reports stats afterwards.
+	var rest []weblog.Transaction
+	for _, tx := range txs[half:] {
+		if tx.SourceIP != moved {
+			rest = append(rest, tx)
+		}
+	}
+	if err := c.FeedSync(rest); err != nil {
 		t.Fatalf("feed after corrupt imports: %v", err)
 	}
-	devs, err := c.Devices()
-	if err != nil || devs != 2 {
-		t.Fatalf("Devices = %d, %v; want 2", devs, err)
+	if devs, err := c.Devices(); err != nil || devs != 1 {
+		t.Fatalf("Devices = %d, %v; want 1", devs, err)
 	}
-	blob, exported, err := c.Export([]string{txs[0].SourceIP})
-	if err != nil || exported != 1 {
-		t.Fatalf("Export = %d, %v; want 1", exported, err)
+	if imported, err := c.ImportHandoff("back", blob); err != nil || imported != 1 {
+		t.Fatalf("ImportHandoff of healthy blob = %d, %v; want 1", imported, err)
 	}
-	if imported, err := c.Import(blob); err != nil || imported != 1 {
-		t.Fatalf("re-Import of healthy blob = %d, %v; want 1", imported, err)
+	for _, id := range []string{"back", "out"} {
+		if count, err := c.Commit(id); err != nil || count != 1 {
+			t.Fatalf("Commit(%s) = %d, %v; want 1", id, count, err)
+		}
+	}
+	if devs, err := c.Devices(); err != nil || devs != 2 {
+		t.Fatalf("Devices = %d, %v after the healthy handoff; want 2", devs, err)
 	}
 }
 

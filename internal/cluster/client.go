@@ -73,9 +73,6 @@ func (r ReconnectConfig) withDefaults() ReconnectConfig {
 
 // ClientConfig configures a NodeClient beyond the address.
 type ClientConfig struct {
-	// MaxWire caps the advertised wire version (0 = MaxWireVersion; 1
-	// forces JSON frames).
-	MaxWire int
 	// ClientID is this client's stable identity for node-side replay
 	// dedup. Defaults to a random id, which is correct for every normal
 	// use: the id must be stable across reconnects of one client, not
@@ -115,11 +112,10 @@ type feedEntry struct {
 // that into exactly-once delivery. Alert pushes resume from the last
 // sequence number the client saw, replayed from the node's alert ring,
 // so a silently dying connection loses no alerts within the ring's
-// horizon. Idempotent RPCs (staged exports and imports, commit, abort,
-// flush, stats, list) are retried across reconnects — always after the
-// replay queue has been re-sent, which preserves the feeds-before-export
-// ordering the drain barrier needs; the non-idempotent legacy
-// Export/Import fail on the first transport error, as before.
+// horizon. Every RPC (staged exports and imports, commit, abort, flush,
+// stats, list) is idempotent, so each is retried across reconnects —
+// always after the replay queue has been re-sent, which preserves the
+// feeds-before-export ordering the drain barrier needs.
 //
 // RPCs may be issued from multiple goroutines; replies are matched by
 // sequence number.
@@ -133,7 +129,6 @@ type NodeClient struct {
 	conn      net.Conn
 	w         *frameWriter
 	name      string // remote node's self-reported name, from the hello reply
-	wire      int    // negotiated wire version, from the hello reply
 	state     int
 	gen       int // connection generation; stale goroutines detect themselves
 	deadGen   int // newest generation already reported dead
@@ -154,9 +149,8 @@ type NodeClient struct {
 const rpcRetryAttempts = 4
 
 // DialNode connects to a cluster node with default configuration,
-// performs the hello handshake — negotiating the highest wire version
-// both ends speak — and (when onAlert is non-nil) subscribes this
-// connection to alert pushes. onAlert runs on the client's receive
+// performs the hello handshake and (when onAlert is non-nil) subscribes
+// this connection to alert pushes. onAlert runs on the client's receive
 // goroutine, strictly in push order — per-device alert order is
 // preserved — and before any reply the node wrote after those alerts is
 // delivered to its waiter. It must not block: a stalled callback stalls
@@ -165,20 +159,10 @@ func DialNode(addr string, onAlert func(NodeAlert)) (*NodeClient, error) {
 	return DialNodeConfig(addr, onAlert, ClientConfig{})
 }
 
-// DialNodeWire is DialNode with a cap on the wire version this client
-// will advertise (0 or anything above MaxWireVersion means
-// MaxWireVersion; 1 forces JSON frames against any node).
-func DialNodeWire(addr string, onAlert func(NodeAlert), maxWire int) (*NodeClient, error) {
-	return DialNodeConfig(addr, onAlert, ClientConfig{MaxWire: maxWire})
-}
-
 // DialNodeConfig is DialNode with full configuration. The first dial is
 // synchronous — an unreachable node fails construction — and later
 // failures go through the reconnect schedule.
 func DialNodeConfig(addr string, onAlert func(NodeAlert), cfg ClientConfig) (*NodeClient, error) {
-	if cfg.MaxWire <= 0 || cfg.MaxWire > MaxWireVersion {
-		cfg.MaxWire = MaxWireVersion
-	}
 	cfg.Reconnect = cfg.Reconnect.withDefaults()
 	if cfg.ClientID == "" {
 		var b [8]byte
@@ -208,13 +192,6 @@ func (c *NodeClient) Name() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.name
-}
-
-// Wire returns the wire version negotiated in the latest hello exchange.
-func (c *NodeClient) Wire() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wire
 }
 
 // Close tears down the connection; in-flight RPCs fail with
@@ -256,11 +233,10 @@ func (c *NodeClient) connect() error {
 	if err != nil {
 		return fmt.Errorf("cluster: dial node %s: %w", c.addr, err)
 	}
-	w := &frameWriter{bw: bufio.NewWriter(conn), conn: conn, timeout: 30 * time.Second}
+	w := &frameWriter{conn: conn, timeout: 30 * time.Second}
 	hello := Frame{
 		Type: FrameHello, Seq: 1, Subscribe: c.onAlert != nil,
-		Wire: c.cfg.MaxWire, Client: c.cfg.ClientID,
-		Resume: resume, Cursor: cursor,
+		Client: c.cfg.ClientID, Resume: resume, Cursor: cursor,
 	}
 	if err := w.write(hello); err != nil {
 		conn.Close()
@@ -291,13 +267,6 @@ func (c *NodeClient) connect() error {
 	c.conn = conn
 	c.w = w
 	c.name = reply.Node
-	// An old node omits Wire from its reply: normWire reads that as v1.
-	// A node must not negotiate above what we advertised; if a buggy one
-	// does, cap it rather than speak frames it may not intend.
-	c.wire = negotiateWire(reply.Wire, c.cfg.MaxWire)
-	if c.wire >= WireV2 {
-		w.setWire(c.wire)
-	}
 	if !c.everConn {
 		// The reply's cursor is the node's current alert sequence; alerts
 		// before it predate this subscription.
@@ -449,10 +418,11 @@ func (c *NodeClient) sendLoop() {
 // Feed queues transactions for the node's monitor and returns once the
 // frame is buffered in the replay queue (the send itself is
 // asynchronous; acknowledgement retires the entry, reconnect replays
-// it). On a wire-v2 connection they travel as binary records; on v1 they
-// are marshaled to log lines. A full queue blocks while the node is
-// connected (backpressure) and fails with ErrReplayOverflow while it is
-// down; a terminally dead node fails with ErrNodeDown.
+// it). The frame references txs until the node acknowledges it, so the
+// caller must not modify the slice after Feed returns. A full queue
+// blocks while the node is connected (backpressure) and fails with
+// ErrReplayOverflow while it is down; a terminally dead node fails with
+// ErrNodeDown.
 func (c *NodeClient) Feed(txs []weblog.Transaction) error {
 	_, err := c.feed(txs, false)
 	return err
@@ -492,17 +462,7 @@ func (c *NodeClient) feed(txs []weblog.Transaction, sync bool) (chan error, erro
 		c.cond.Wait()
 	}
 	c.seq++
-	f := Frame{Type: FrameFeed, Seq: c.seq}
-	if c.wire >= WireV2 {
-		f.Txs = txs
-	} else {
-		lines := make([]string, len(txs))
-		for i := range txs {
-			lines[i] = txs[i].MarshalLine()
-		}
-		f.Lines = lines
-	}
-	e := &feedEntry{frame: f}
+	e := &feedEntry{frame: Frame{Type: FrameFeed, Seq: c.seq, Txs: txs}}
 	if sync {
 		e.done = make(chan error, 1)
 	}
@@ -540,36 +500,13 @@ func (c *NodeClient) retireFeed(f Frame) {
 	}
 }
 
-// Export drains the named devices from the node, returning their
-// portable state blob and the count actually exported. All alerts the
-// drained devices produced on the node have been delivered through
-// onAlert by the time Export returns. Not idempotent, so not retried: a
-// transport error mid-export is ambiguous and surfaces as one.
-func (c *NodeClient) Export(devices []string) ([]byte, int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameExport, Devices: devices}, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	return reply.Blob, reply.Count, nil
-}
-
-// Import hands a state blob to the node, returning the number of devices
-// it adopted. Not idempotent, so not retried.
-func (c *NodeClient) Import(blob []byte) (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameImport, Blob: blob}, false)
-	if err != nil {
-		return 0, err
-	}
-	return reply.Count, nil
-}
-
 // ExportHandoff stages an export of the named devices under a handoff id
 // (see core.Monitor.ExportStaged). Idempotent per id, so it is retried
 // across reconnects; the returned blob is identical on every retry. The
 // drained devices' prior alerts have been delivered through onAlert when
 // it returns.
 func (c *NodeClient) ExportHandoff(id string, devices []string) ([]byte, int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameExport, Handoff: id, Devices: devices}, true)
+	reply, err := c.roundTrip(Frame{Type: FrameExport, Handoff: id, Devices: devices})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -579,7 +516,7 @@ func (c *NodeClient) ExportHandoff(id string, devices []string) ([]byte, int, er
 // ImportHandoff stages a state blob on the node under a handoff id,
 // invisible until Commit. Idempotent per id; retried across reconnects.
 func (c *NodeClient) ImportHandoff(id string, blob []byte) (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameImport, Handoff: id, Blob: blob}, true)
+	reply, err := c.roundTrip(Frame{Type: FrameImport, Handoff: id, Blob: blob})
 	if err != nil {
 		return 0, err
 	}
@@ -591,7 +528,7 @@ func (c *NodeClient) ImportHandoff(id string, blob []byte) (int, error) {
 // reconnects. A definitive refusal — including core.ErrUnknownHandoff
 // when the staged state died with a restart — surfaces as ErrNodeRefused.
 func (c *NodeClient) Commit(id string) (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameCommit, Handoff: id}, true)
+	reply, err := c.roundTrip(Frame{Type: FrameCommit, Handoff: id})
 	if err != nil {
 		return 0, err
 	}
@@ -601,7 +538,7 @@ func (c *NodeClient) Commit(id string) (int, error) {
 // Abort cancels a staged handoff on the node (drop the staged import, or
 // re-adopt the held export). Idempotent; retried across reconnects.
 func (c *NodeClient) Abort(id string) (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameAbort, Handoff: id}, true)
+	reply, err := c.roundTrip(Frame{Type: FrameAbort, Handoff: id})
 	if err != nil {
 		return 0, err
 	}
@@ -610,7 +547,7 @@ func (c *NodeClient) Abort(id string) (int, error) {
 
 // List returns the devices the node holds state for (live or spilled).
 func (c *NodeClient) List() ([]string, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameList}, true)
+	reply, err := c.roundTrip(Frame{Type: FrameList})
 	if err != nil {
 		return nil, err
 	}
@@ -621,13 +558,13 @@ func (c *NodeClient) List() ([]string, error) {
 // outstanding alert; all resulting alerts have passed through onAlert
 // when it returns.
 func (c *NodeClient) Flush() error {
-	_, err := c.roundTrip(Frame{Type: FrameFlush}, true)
+	_, err := c.roundTrip(Frame{Type: FrameFlush})
 	return err
 }
 
 // Devices returns the node's tracked-device count.
 func (c *NodeClient) Devices() (int, error) {
-	reply, err := c.roundTrip(Frame{Type: FrameStats}, true)
+	reply, err := c.roundTrip(Frame{Type: FrameStats})
 	if err != nil {
 		return 0, err
 	}
@@ -637,14 +574,14 @@ func (c *NodeClient) Devices() (int, error) {
 // roundTrip issues one RPC and blocks for its reply. It first waits for
 // a live connection whose replay queue is fully (re)written, so the node
 // processes the request after every feed queued before it — the ordering
-// the drain barrier relies on. A connection death fails the attempt;
-// retryable (idempotent) requests then wait for the next connection and
-// try again, up to rpcRetryAttempts generations. An error reply from the
-// node surfaces as an error carrying the node's message.
-func (c *NodeClient) roundTrip(req Frame, retryable bool) (Frame, error) {
+// the drain barrier relies on. A connection death fails the attempt; the
+// request (every RPC is idempotent) then waits for the next connection
+// and tries again, up to rpcRetryAttempts generations. An error reply
+// from the node surfaces as an error carrying the node's message.
+func (c *NodeClient) roundTrip(req Frame) (Frame, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if attempt > 0 && (!retryable || attempt >= rpcRetryAttempts) {
+		if attempt >= rpcRetryAttempts {
 			return Frame{}, lastErr
 		}
 		c.mu.Lock()

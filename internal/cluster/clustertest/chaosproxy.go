@@ -214,6 +214,14 @@ func (p *ChaosProxy) acceptLoop() {
 			continue
 		}
 		p.mu.Lock()
+		if p.partitioned || p.closed {
+			// Partition (or Close) ran while the backend was dialing and
+			// could not see this connection to kill it.
+			p.mu.Unlock()
+			conn.Close()
+			backend.Close()
+			continue
+		}
 		p.conns[conn] = backend
 		p.mu.Unlock()
 		p.wg.Add(2)

@@ -19,7 +19,7 @@ const (
 	// monitor refuses the blob (version drift, corrupt state).
 	FailImport FlakyMode = iota
 	// DieOnImport drops the connection upon receiving an import frame —
-	// a node crashing mid-ImportShard.
+	// a node crashing mid-import.
 	DieOnImport
 )
 
@@ -97,12 +97,8 @@ func (f *FlakyNode) serve(conn net.Conn) {
 	defer f.wg.Done()
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
 	reply := func(fr cluster.Frame) bool {
-		if err := cluster.WriteFrame(bw, fr); err != nil {
-			return false
-		}
-		return bw.Flush() == nil
+		return cluster.WriteFrame(conn, fr) == nil
 	}
 	for {
 		fr, err := cluster.ReadFrame(br)
@@ -120,7 +116,7 @@ func (f *FlakyNode) serve(conn net.Conn) {
 		case cluster.FrameFeed:
 			// Accept and discard: a black hole, but the router only feeds
 			// this node devices it successfully imported — which is never.
-			if !reply(cluster.Frame{Type: cluster.FrameOK, Seq: fr.Seq, Count: len(fr.Lines)}) {
+			if !reply(cluster.Frame{Type: cluster.FrameOK, Seq: fr.Seq, Count: len(fr.Txs)}) {
 				return
 			}
 		case cluster.FrameImport:

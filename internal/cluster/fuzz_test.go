@@ -8,22 +8,26 @@ import (
 	"testing"
 
 	"webtxprofile/internal/core"
+	"webtxprofile/internal/weblog"
 )
 
 // corpusSeeds are the checked-in seeds for FuzzReadFrame: one well-formed
-// frame of each type plus the malformed shapes the decoder must reject
-// cleanly. Kept in code so the testdata corpus is reproducible (see
-// TestRegenerateFuzzCorpus).
+// length-prefixed binary frame of each shape plus the malformed inputs the
+// reader must reject cleanly — among them a JSON frame, which is what a
+// legacy peer sends. Kept in code so the testdata corpus is reproducible
+// (see TestRegenerateFuzzCorpus).
 func corpusSeeds(t testing.TB) [][]byte {
+	tx := binarySeedTx()
+	blob := []byte{'W', 'T', 'P', 'S', 0x02, 0x00, 0x00}
 	valid := []Frame{
 		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true},
 		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true, Client: "router-1/ab12", Resume: true, Cursor: 42},
-		{Type: FrameFeed, Seq: 2, Lines: []string{"2015-01-05 09:00:00.000, svc.example.com, http, GET, user_1, 10.0.0.1, Games, text/html, app, minimal-risk, public"}},
-		{Type: FrameFeed, Seq: 2, Replay: true, Lines: []string{"2015-01-05 09:00:00.000, svc.example.com, http, GET, user_1, 10.0.0.1, Games, text/html, app, minimal-risk, public"}},
-		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1", "10.0.0.2"}},
-		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1"}, Handoff: "ab12/1"},
-		{Type: FrameImport, Seq: 4, Blob: []byte{0x1f, 0x8b, 0x08, 0x00, 0x00}},
-		{Type: FrameImport, Seq: 4, Blob: []byte{0x1f, 0x8b, 0x08, 0x00, 0x00}, Handoff: "ab12/1"},
+		{Type: FrameFeed, Seq: 2, Txs: []weblog.Transaction{tx}},
+		{Type: FrameFeed, Seq: 2, Replay: true, Txs: []weblog.Transaction{tx, tx}},
+		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1", "10.0.0.2"}, Handoff: "ab12/1"},
+		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1"}, Handoff: "ab12/2"},
+		{Type: FrameImport, Seq: 4, Blob: blob, Handoff: "ab12/1"},
+		{Type: FrameImport, Seq: 4, Blob: blob, Handoff: "ab12/2"},
 		{Type: FrameCommit, Seq: 5, Handoff: "ab12/1"},
 		{Type: FrameAbort, Seq: 6, Handoff: "ab12/1"},
 		{Type: FrameList, Seq: 7},
@@ -49,20 +53,22 @@ func corpusSeeds(t testing.TB) [][]byte {
 		seeds = append(seeds, buf.Bytes())
 	}
 	seeds = append(seeds,
-		[]byte{},                                      // empty input
-		[]byte{0, 0},                                  // truncated header
-		[]byte{0, 0, 0, 0},                            // zero length
-		[]byte{0xff, 0xff, 0xff, 0xff},                // absurd length
-		[]byte{0, 0, 0, 4, 'n', 'o'},                  // truncated payload
-		[]byte("\x00\x00\x00\x04nope"),                // invalid JSON
-		[]byte("\x00\x00\x00\x0f{\"type\":\"warp\"}"), // unknown type
+		[]byte{},                       // empty input
+		[]byte{0, 0},                   // truncated header
+		[]byte{0, 0, 0, 0},             // zero length
+		[]byte{0xff, 0xff, 0xff, 0xff}, // absurd length
+		[]byte{0, 0, 0, 4, binaryMagic, frameVersion},             // truncated payload
+		[]byte("\x00\x00\x00\x04nope"),                            // non-binary payload
+		[]byte{0, 0, 0, 4, binaryMagic, frameVersion, 0x63, 0x01}, // unknown type
+		[]byte("\x00\x00\x00\x18{\"type\":\"hello\",\"seq\":1}"),  // legacy JSON hello
 	)
 	return seeds
 }
 
 // FuzzReadFrame: arbitrary bytes must decode to a frame or an error —
 // never a panic, never unbounded allocation — and anything that decodes
-// must survive a re-encode/re-decode round trip.
+// must survive a re-encode/re-decode round trip. A payload that is not a
+// binary frame, such as a legacy peer's JSON, must be an error.
 func FuzzReadFrame(f *testing.F) {
 	for _, seed := range corpusSeeds(f) {
 		f.Add(seed)
@@ -71,6 +77,9 @@ func FuzzReadFrame(f *testing.F) {
 		fr, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if data[4] != binaryMagic {
+			t.Fatalf("non-binary payload decoded as %+v", fr)
 		}
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, fr); err != nil {

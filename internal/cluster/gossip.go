@@ -192,7 +192,6 @@ func (s *GossipServer) acceptLoop() {
 func (s *GossipServer) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
 	for {
 		conn.SetReadDeadline(time.Now().Add(time.Minute))
 		f, err := ReadFrame(br)
@@ -217,10 +216,7 @@ func (s *GossipServer) serveConn(conn net.Conn) {
 			}
 		}
 		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if err := WriteFrame(bw, reply); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
+		if err := WriteFrame(conn, reply); err != nil {
 			return
 		}
 	}
@@ -236,12 +232,8 @@ func (r *Router) GossipWith(addr string) error {
 	}
 	defer conn.Close()
 	own := r.Gossip()
-	bw := bufio.NewWriter(conn)
 	conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	if err := WriteFrame(bw, Frame{Type: FrameGossip, Seq: 1, Gossip: &own}); err != nil {
-		return fmt.Errorf("cluster: gossip to %s: %w", addr, err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := WriteFrame(conn, Frame{Type: FrameGossip, Seq: 1, Gossip: &own}); err != nil {
 		return fmt.Errorf("cluster: gossip to %s: %w", addr, err)
 	}
 	conn.SetReadDeadline(time.Now().Add(time.Minute))

@@ -1,109 +1,94 @@
 package cluster_test
 
 import (
-	"fmt"
+	"bytes"
+	"encoding/binary"
+	"io"
+	"log"
+	"net"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"webtxprofile/internal/cluster"
 	"webtxprofile/internal/cluster/clustertest"
 	"webtxprofile/internal/weblog"
 )
 
-// TestWireNegotiationMatrix runs one live node/client pair per corner of
-// the version matrix and asserts the hello exchange lands on
-// min(client, node) — then proves the connection actually works at that
-// version by feeding a real workload through it.
-func TestWireNegotiationMatrix(t *testing.T) {
-	set, ds := clustertest.TrainedSet(t)
-	txs, _ := clustertest.Workload(t, ds, 3, 300)
-	cases := []struct {
-		nodeMax, clientMax, want int
-	}{
-		{0, 0, cluster.WireV2}, // both default to the highest version
-		{0, 1, cluster.WireV1}, // v1 client against a v2 node
-		{1, 0, cluster.WireV1}, // v2 client against a v1-capped node
-		{1, 1, cluster.WireV1},
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("node%d_client%d", tc.nodeMax, tc.clientMax), func(t *testing.T) {
-			n, err := cluster.ListenNode("127.0.0.1:0", set,
-				cluster.NodeConfig{Name: "n1", K: 2, MaxWire: tc.nodeMax})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer n.Close()
-			c, err := cluster.DialNodeWire(n.Addr().String(), nil, tc.clientMax)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if c.Wire() != tc.want {
-				t.Fatalf("negotiated wire %d, want %d", c.Wire(), tc.want)
-			}
-			if err := c.Feed(txs); err != nil {
-				t.Fatalf("feed at wire %d: %v", c.Wire(), err)
-			}
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if got, err := c.Devices(); err != nil || got != 3 {
-				t.Fatalf("node tracks %d devices (err %v), want 3", got, err)
-			}
-		})
-	}
+// lockedBuffer is a goroutine-safe log sink.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
 }
 
-// TestWireMixedClientsOneNode pins that the wire version is a
-// per-connection property: a v1 and a v2 client feeding the same node
-// concurrently-held connections must both land their transactions.
-func TestWireMixedClientsOneNode(t *testing.T) {
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestNodeClosesLegacyJSONPeer pins what a peer speaking the retired
+// JSON framing sees: its length-prefixed JSON hello gets no reply, the
+// node closes the connection and logs an error naming the non-binary
+// payload. A binary client on the same node keeps feeding and flushing
+// unaffected.
+func TestNodeClosesLegacyJSONPeer(t *testing.T) {
 	set, ds := clustertest.TrainedSet(t)
 	txs, devices := clustertest.Workload(t, ds, 4, 400)
-	n, err := cluster.ListenNode("127.0.0.1:0", set, cluster.NodeConfig{Name: "n1", K: 2})
+	var elog lockedBuffer
+	n, err := cluster.ListenNode("127.0.0.1:0", set, cluster.NodeConfig{
+		Name: "n1", K: 2, ErrorLog: log.New(&elog, "", 0),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-
-	v1, err := cluster.DialNodeWire(n.Addr().String(), nil, 1)
+	c, err := cluster.DialNode(n.Addr().String(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	v2, err := cluster.DialNodeWire(n.Addr().String(), nil, 0)
+	defer c.Close()
+	half := len(txs) / 2
+	if err := c.Feed(txs[:half]); err != nil {
+		t.Fatal(err)
+	}
+
+	legacy, err := net.Dial("tcp", n.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
-	if v1.Wire() != cluster.WireV1 || v2.Wire() != cluster.WireV2 {
-		t.Fatalf("negotiated wires %d and %d, want 1 and 2", v1.Wire(), v2.Wire())
+	defer legacy.Close()
+	hello := []byte(`{"type":"hello","seq":1,"node":"old-router","subscribe":true,"wire":1}`)
+	if _, err := legacy.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(hello))), hello...)); err != nil {
+		t.Fatal(err)
+	}
+	legacy.SetReadDeadline(time.Now().Add(10 * time.Second))
+	got, err := io.ReadAll(legacy)
+	if len(got) != 0 {
+		t.Fatalf("legacy peer got %d reply bytes, want none", len(got))
+	}
+	if netErr, ok := err.(net.Error); ok && netErr.Timeout() {
+		t.Fatal("node left the legacy connection open")
 	}
 
-	// Split the workload by device so each connection keeps the
-	// per-device ordering contract, half the devices per wire version.
-	owner := map[string]*cluster.NodeClient{}
-	for i, d := range devices {
-		if i%2 == 0 {
-			owner[d] = v1
-		} else {
-			owner[d] = v2
-		}
-	}
-	for _, tx := range txs {
-		if err := owner[tx.SourceIP].Feed([]weblog.Transaction{tx}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Flush both connections: each flush is the delivery barrier for the
-	// feeds queued on its own connection.
-	if err := v1.Flush(); err != nil {
+	if err := c.Feed(txs[half:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := v2.Flush(); err != nil {
+	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := v1.Devices(); err != nil || got != len(devices) {
+	if got, err := c.Devices(); err != nil || got != len(devices) {
 		t.Fatalf("node tracks %d devices (err %v), want %d", got, err, len(devices))
+	}
+	if !strings.Contains(elog.String(), "non-binary frame payload") {
+		t.Errorf("node log does not name the non-binary payload:\n%s", elog.String())
 	}
 }
 
@@ -118,7 +103,7 @@ func TestWireFeedRejectsInvalidRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	c, err := cluster.DialNodeWire(n.Addr().String(), nil, 0)
+	c, err := cluster.DialNode(n.Addr().String(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

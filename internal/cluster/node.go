@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"webtxprofile/internal/core"
-	"webtxprofile/internal/weblog"
 )
 
 // NodeConfig configures one cluster member.
@@ -30,10 +28,6 @@ type NodeConfig struct {
 	// the wire push — a local tap for logging daemons. Called from the
 	// monitor's delivery goroutine; must not block for long.
 	OnAlert func(core.Alert)
-	// MaxWire caps the wire version this node will negotiate (default
-	// MaxWireVersion). Setting 1 forces JSON frames even with v2-capable
-	// peers — an escape hatch for debugging and mixed-version rollouts.
-	MaxWire int
 	// WriteTimeout bounds every frame write to a connection (default
 	// 30s). It is what keeps a stalled peer from wedging the node: a
 	// full TCP buffer blocks, it does not error, so without a deadline
@@ -62,18 +56,18 @@ type NodeConfig struct {
 }
 
 // Node is one cluster member: a TCP server exposing its core.Monitor's
-// Feed/FeedBatch, ExportDevices/ImportShard and Flush over the
-// length-prefixed frame protocol, and pushing every alert to subscribed
-// connections tagged with the node's name. A node is passive — it holds
-// no membership view and trusts its router(s) to route transactions and
-// drains correctly; the placement/drain guarantees live in Router.
+// FeedBatch, two-phase handoff (ExportStaged/StageImport/CommitHandoff/
+// AbortHandoff) and Flush over the length-prefixed binary frame protocol,
+// and pushing every alert to subscribed connections tagged with the
+// node's name. A node is passive — it holds no membership view and
+// trusts its router(s) to route transactions and drains correctly; the
+// placement/drain guarantees live in Router.
 type Node struct {
 	name         string
 	ln           net.Listener
 	mon          *core.Monitor
 	tap          func(core.Alert)
 	writeTimeout time.Duration
-	maxWire      int
 	ringCap      int
 	dedupWindow  int
 	elog         *log.Logger
@@ -116,7 +110,6 @@ func ListenNode(addr string, set *core.ProfileSet, cfg NodeConfig) (*Node, error
 		name:         cfg.Name,
 		tap:          cfg.OnAlert,
 		writeTimeout: cfg.WriteTimeout,
-		maxWire:      cfg.MaxWire,
 		ringCap:      cfg.AlertRing,
 		dedupWindow:  cfg.DedupWindow,
 		elog:         cfg.ErrorLog,
@@ -127,9 +120,6 @@ func ListenNode(addr string, set *core.ProfileSet, cfg NodeConfig) (*Node, error
 	}
 	if n.writeTimeout <= 0 {
 		n.writeTimeout = 30 * time.Second
-	}
-	if n.maxWire <= 0 || n.maxWire > MaxWireVersion {
-		n.maxWire = MaxWireVersion
 	}
 	if n.ringCap <= 0 {
 		n.ringCap = 8192
@@ -475,7 +465,7 @@ func (n *Node) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		w := &frameWriter{bw: bufio.NewWriter(conn), conn: conn, timeout: n.writeTimeout}
+		w := &frameWriter{conn: conn, timeout: n.writeTimeout}
 		n.mu.Lock()
 		if n.stopped {
 			n.mu.Unlock()
@@ -496,6 +486,7 @@ func (n *Node) serveConn(conn net.Conn, w *frameWriter) {
 	defer n.wg.Done()
 	defer func() {
 		n.dropSubscriber(conn)
+		conn.Close()
 		n.mu.Lock()
 		delete(n.conns, conn)
 		delete(n.clients, conn)
@@ -510,21 +501,14 @@ func (n *Node) serveConn(conn net.Conn, w *frameWriter) {
 			}
 			return
 		}
-		reply, undo := n.handle(conn, f)
+		reply := n.handle(conn, f)
 		if err := w.write(reply); err != nil {
 			n.elog.Printf("cluster node %s: %s: write: %v", n.name, conn.RemoteAddr(), err)
-			if undo != nil {
-				undo()
-			}
 			return
 		}
 		if f.Type == FrameHello && reply.Type == FrameOK {
-			// The negotiated version takes effect after the hello reply:
-			// the reply itself is always JSON (a v1 peer must be able to
-			// read it), everything later uses what was agreed. Only then
-			// does the outbox start — the subscription backlog must land
-			// on the wire after the reply that carries its cursor.
-			w.setWire(reply.Wire)
+			// The outbox starts only now: the subscription backlog must
+			// land on the wire after the reply that carries its cursor.
 			n.amu.Lock()
 			sub := n.subs[conn]
 			n.amu.Unlock()
@@ -536,15 +520,13 @@ func (n *Node) serveConn(conn net.Conn, w *frameWriter) {
 }
 
 // handle dispatches one request frame to the monitor and builds the
-// reply. A non-nil undo must be run if the reply cannot be delivered: it
-// rolls the monitor back so state handed to a vanished peer is not lost
-// (today only exports need this — the exported devices were already
-// removed from the monitor, and an undeliverable blob would otherwise
-// evaporate with the connection).
-func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
+// reply. Nothing needs rolling back when a reply cannot be delivered:
+// handoff state is held under its id until the router commits or aborts
+// it, and a feed whose ack is lost is replayed and deduplicated.
+func (n *Node) handle(conn net.Conn, f Frame) Frame {
 	switch f.Type {
 	case FrameHello:
-		reply = Frame{Type: FrameOK, Seq: f.Seq, Node: n.name, Wire: negotiateWire(f.Wire, n.maxWire)}
+		reply := Frame{Type: FrameOK, Seq: f.Seq, Node: n.name}
 		if f.Client != "" {
 			n.mu.Lock()
 			n.clients[conn] = f.Client
@@ -581,7 +563,7 @@ func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
 				})
 			}()
 		}
-		return reply, nil
+		return reply
 	case FrameFeed:
 		n.mu.Lock()
 		client := n.clients[conn]
@@ -591,113 +573,68 @@ func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
 			sess = n.session(client)
 			if f.Replay && sess.seen(f.Seq) {
 				// Applied before the reconnect; the ack was what got lost.
-				return Frame{Type: FrameOK, Seq: f.Seq, Count: len(f.Txs) + len(f.Lines)}, nil
+				return Frame{Type: FrameOK, Seq: f.Seq, Count: len(f.Txs)}
 			}
 		}
-		txs := f.Txs
-		if txs == nil {
-			txs = make([]weblog.Transaction, len(f.Lines))
-			for i, line := range f.Lines {
-				tx, err := weblog.ParseLine(line)
-				if err != nil {
-					// Reject the whole frame before feeding anything: a
-					// feed frame is an RPC from the router, not a raw proxy
-					// log — a bad record means a protocol bug, not dirty
-					// input.
-					return errorFrame(f.Seq, fmt.Errorf("line %d: %w", i, err)), nil
-				}
-				txs[i] = tx
-			}
-		} else {
-			// Binary records decode structurally; apply the semantic
-			// checks ParseLine would have run on the line path.
-			for i := range txs {
-				if err := txs[i].Validate(); err != nil {
-					return errorFrame(f.Seq, fmt.Errorf("record %d: %w", i, err)), nil
-				}
+		// Binary records decode structurally; apply the semantic checks
+		// the collector's ParseLine runs on proxy log lines. A bad record
+		// refuses the whole frame before anything is fed: a feed frame is
+		// an RPC from the router, not a raw proxy log, so a bad record
+		// means a protocol bug, not dirty input.
+		for i := range f.Txs {
+			if err := f.Txs[i].Validate(); err != nil {
+				return errorFrame(f.Seq, fmt.Errorf("record %d: %w", i, err))
 			}
 		}
-		if err := n.mon.FeedBatch(txs); err != nil {
-			return errorFrame(f.Seq, err), nil
+		if err := n.mon.FeedBatch(f.Txs); err != nil {
+			return errorFrame(f.Seq, err)
 		}
 		if sess != nil {
 			sess.admit(f.Seq)
 		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: len(txs)}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Count: len(f.Txs)}
 	case FrameExport:
-		if f.Handoff != "" {
-			// Staged export: the states are held under the handoff id, so
-			// no undo is needed — a lost reply is retried (idempotent) and
-			// a failed move is aborted, both by the router.
-			blob, count, err := n.mon.ExportStaged(f.Handoff, f.Devices)
-			if err != nil {
-				return errorFrame(f.Seq, err), nil
-			}
-			n.mon.Sync()
-			n.syncSubscriber(conn)
-			return Frame{Type: FrameOK, Seq: f.Seq, Blob: blob, Count: count}, nil
-		}
-		blob, count, err := n.mon.ExportDevices(f.Devices)
+		// The states are held under the handoff id, so a lost reply is
+		// retried (idempotent) and a failed move is aborted, both by the
+		// router. An export without an id is refused by ExportStaged.
+		blob, count, err := n.mon.ExportStaged(f.Handoff, f.Devices)
 		if err != nil {
-			// Partial export failure: put the exported states straight
-			// back so the node keeps serving them — the router will keep
-			// the devices placed here.
-			if blob != nil {
-				if _, ierr := n.mon.ImportShard(blob); ierr != nil {
-					err = errors.Join(err, fmt.Errorf("restoring after failed export: %w", ierr))
-				}
-			}
-			return errorFrame(f.Seq, err), nil
+			return errorFrame(f.Seq, err)
 		}
 		// Ordering barrier: every alert of the exported devices must be
 		// on the wire before the reply, so the importer's alerts are
 		// strictly later at the router.
 		n.mon.Sync()
 		n.syncSubscriber(conn)
-		// If the reply cannot be written (peer gone, or the blob blows
-		// the frame limit), re-adopt the devices: the router will treat
-		// the export as failed and keep them placed here.
-		undo := func() {
-			if _, err := n.mon.ImportShard(blob); err != nil {
-				n.elog.Printf("cluster node %s: restoring %d devices after undeliverable export: %v", n.name, count, err)
-			}
-		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Blob: blob, Count: count}, undo
+		return Frame{Type: FrameOK, Seq: f.Seq, Blob: blob, Count: count}
 	case FrameImport:
-		if f.Handoff != "" {
-			count, err := n.mon.StageImport(f.Handoff, f.Blob)
-			if err != nil {
-				return errorFrame(f.Seq, err), nil
-			}
-			return Frame{Type: FrameOK, Seq: f.Seq, Count: count}, nil
-		}
-		count, err := n.mon.ImportShard(f.Blob)
+		count, err := n.mon.StageImport(f.Handoff, f.Blob)
 		if err != nil {
-			return errorFrame(f.Seq, err), nil
+			return errorFrame(f.Seq, err)
 		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}
 	case FrameCommit:
 		count, err := n.mon.CommitHandoff(f.Handoff)
 		if err != nil {
-			return errorFrame(f.Seq, err), nil
+			return errorFrame(f.Seq, err)
 		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}
 	case FrameAbort:
 		count, err := n.mon.AbortHandoff(f.Handoff)
 		if err != nil {
-			return errorFrame(f.Seq, err), nil
+			return errorFrame(f.Seq, err)
 		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Count: count}
 	case FrameList:
 		names, err := n.mon.TrackedDevices()
 		if err != nil {
-			return errorFrame(f.Seq, err), nil
+			return errorFrame(f.Seq, err)
 		}
-		return Frame{Type: FrameOK, Seq: f.Seq, Devices: names, Count: len(names)}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Devices: names, Count: len(names)}
 	case FrameFlush:
 		n.mon.Flush()
 		n.syncSubscriber(conn)
-		return Frame{Type: FrameOK, Seq: f.Seq}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq}
 	case FrameStats:
 		// Stats doubles as the router's Sync barrier: the reply must be
 		// ordered after every alert raised by already-processed feeds, so
@@ -706,9 +643,9 @@ func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
 		// have reached its fan-in callback.
 		n.mon.Sync()
 		n.syncSubscriber(conn)
-		return Frame{Type: FrameOK, Seq: f.Seq, Count: n.mon.Devices()}, nil
+		return Frame{Type: FrameOK, Seq: f.Seq, Count: n.mon.Devices()}
 	default:
-		return errorFrame(f.Seq, fmt.Errorf("frame type %q is not a request", f.Type)), nil
+		return errorFrame(f.Seq, fmt.Errorf("frame type %q is not a request", f.Type))
 	}
 }
 
@@ -716,62 +653,29 @@ func (n *Node) handle(conn net.Conn, f Frame) (reply Frame, undo func()) {
 // by the reply path and the alert fanout. Every write runs under a
 // deadline (when conn and timeout are set): a peer that stops reading
 // makes the write error out instead of blocking on the kernel buffer.
-// Writes start at wire v1 (JSON); setWire upgrades the connection after
-// the hello exchange negotiates v2, from which point frames are encoded
-// binary into a reused scratch buffer.
+// Each frame is encoded whole into a reused scratch buffer and written
+// with one Write.
 type frameWriter struct {
 	mu      sync.Mutex
-	bw      *bufio.Writer
 	conn    net.Conn
 	timeout time.Duration
-	wire    int
 	scratch []byte
-}
-
-// setWire fixes the connection's negotiated wire version. Ordered through
-// the same lock as write: a frame already being written finishes in the
-// old encoding, later frames use the new one.
-func (w *frameWriter) setWire(v int) {
-	w.mu.Lock()
-	w.wire = v
-	w.mu.Unlock()
 }
 
 func (w *frameWriter) write(f Frame) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.conn != nil && w.timeout > 0 {
+	if w.timeout > 0 {
 		w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
 		defer w.conn.SetWriteDeadline(time.Time{})
 	}
-	if w.wire >= WireV2 {
-		if err := w.writeBinaryLocked(f); err != nil {
-			return err
-		}
-	} else if err := WriteFrame(w.bw, f); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-// writeBinaryLocked encodes f as a wire-v2 frame into the reused scratch
-// buffer and writes it with its length prefix. Runs under w.mu.
-func (w *frameWriter) writeBinaryLocked(f Frame) error {
-	payload, err := AppendBinaryFrame(w.scratch[:0], f)
+	buf, err := appendFrame(w.scratch[:0], f)
+	w.scratch = buf[:0]
 	if err != nil {
 		return err
 	}
-	w.scratch = payload[:0]
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("cluster: %s frame of %d bytes exceeds limit %d", f.Type, len(payload), MaxFrameBytes)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("cluster: writing frame header: %w", err)
-	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return fmt.Errorf("cluster: writing frame payload: %w", err)
+	if _, err := w.conn.Write(buf); err != nil {
+		return fmt.Errorf("cluster: writing %s frame: %w", f.Type, err)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -11,16 +10,12 @@ import (
 )
 
 // The cluster wire protocol is length-prefixed: each frame is a 4-byte
-// big-endian payload length followed by one encoded Frame. A payload is
-// either JSON (wire v1, and every hello) or the compact binary encoding of
-// wirecodec.go (wire v2, negotiated in the hello exchange); the reader
-// tells them apart by the first payload byte. Transactions travel inside
-// v1 feed frames as the newline-less log-line format of package weblog
-// (the same lines the collector's proxies stream) and inside v2 feed
-// frames as weblog binary records; shard handoffs travel in both versions
-// as the opaque versioned blobs core.Monitor's ExportDevices/ImportShard
-// produce, so the node protocol reuses the existing serializations rather
-// than inventing new ones.
+// big-endian payload length followed by one Frame in the binary encoding
+// of wirecodec.go — the only encoding, from the hello on. Feed frames
+// carry transactions as weblog binary records; shard handoffs carry the
+// opaque versioned blobs of core.Monitor's ExportStaged/StageImport, so
+// the node protocol reuses the existing serializations rather than
+// inventing new ones.
 //
 // One TCP connection carries both directions: the client writes request
 // frames with a non-zero Seq and the node answers each with an "ok" or
@@ -40,14 +35,16 @@ const (
 	// FrameHello opens a session: the client names itself and may
 	// subscribe to alert pushes. The node replies ok with its own name.
 	FrameHello = "hello"
-	// FrameFeed carries transactions as weblog log lines; the node feeds
-	// them to its monitor and replies ok with the count fed.
+	// FrameFeed carries transactions as weblog binary records; the node
+	// feeds them to its monitor and replies ok with the count fed.
 	FrameFeed = "feed"
-	// FrameExport names devices to drain; the node exports them from its
-	// monitor and replies ok with the state blob and count.
+	// FrameExport names devices to drain under a handoff id; the node
+	// holds them (core.Monitor.ExportStaged) and replies ok with the state
+	// blob and count.
 	FrameExport = "export"
-	// FrameImport carries a state blob to adopt; the node imports it and
-	// replies ok with the count of devices adopted.
+	// FrameImport carries a state blob to stage under a handoff id; the
+	// node stages it (core.Monitor.StageImport) and replies ok with the
+	// count of devices staged.
 	FrameImport = "import"
 	// FrameFlush asks the node to complete pending windows and deliver
 	// every outstanding alert before replying ok.
@@ -82,60 +79,53 @@ const (
 
 // Frame is the unit of the cluster wire protocol. Exactly the fields
 // relevant to a frame's Type are populated; the rest stay at their zero
-// values and are omitted from the JSON.
+// values and are omitted on the wire.
 type Frame struct {
-	Type string `json:"type"`
+	Type string
 	// Seq correlates a reply with its request; alert pushes use 0.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// Node names the sender in hello frames and hello replies.
-	Node string `json:"node,omitempty"`
+	Node string
 	// Subscribe asks (in a hello) for alert pushes on this connection.
-	Subscribe bool `json:"subscribe,omitempty"`
-	// Wire negotiates the connection's encoding: in a hello it advertises
-	// the sender's highest supported wire version, in the hello reply it
-	// fixes the negotiated one. Zero means wire v1 (a peer that predates
-	// the field).
-	Wire int `json:"wire,omitempty"`
-	// Lines are weblog log lines (feed, wire v1).
-	Lines []string `json:"lines,omitempty"`
-	// Txs are decoded transactions (feed, wire v2). They never appear in
-	// JSON frames: v2 payloads carry them as weblog binary records, and a
-	// v1 sender uses Lines.
-	Txs []weblog.Transaction `json:"-"`
+	Subscribe bool
+	// Txs are the transactions of a feed frame. Decoded string fields
+	// alias the frame payload (see decodeBinaryFrame).
+	Txs []weblog.Transaction
 	// Devices names the devices to drain (export).
-	Devices []string `json:"devices,omitempty"`
+	Devices []string
 	// Blob is a shard-state blob (import request, export reply).
-	Blob []byte `json:"blob,omitempty"`
+	Blob []byte
 	// Count reports how many transactions were fed or devices were
 	// exported/imported/tracked (ok replies).
-	Count int `json:"count,omitempty"`
+	Count int
 	// Error is the failure message (error replies).
-	Error string `json:"error,omitempty"`
+	Error string
 	// Alert is the pushed identity transition (alert frames). Alert
 	// frames carry the origin node's alert sequence number in Seq, so a
 	// resubscribing client can resume from its last-seen cursor.
-	Alert *NodeAlert `json:"alert,omitempty"`
-	// Handoff identifies a two-phase drain. An export or import carrying
-	// a handoff id is staged — held (export) or invisible (import) until
-	// a commit for the same id; commit and abort frames always carry one.
-	Handoff string `json:"handoff,omitempty"`
+	Alert *NodeAlert
+	// Handoff identifies a two-phase drain. Export and import frames
+	// stage under it — held (export) or invisible (import) until a commit
+	// for the same id — and are refused without one; commit and abort
+	// frames name the handoff they finish.
+	Handoff string
 	// Client is the caller's stable identity (hello). Named clients get
 	// replay dedup: a re-sent feed whose (Client, Seq) was already
 	// applied is acknowledged without feeding the monitor twice.
-	Client string `json:"client,omitempty"`
+	Client string
 	// Cursor is an alert sequence position: in a resuming hello, the last
 	// alert Seq the client saw (the node replays newer ring entries); in
 	// every hello reply, the node's current alert sequence.
-	Cursor uint64 `json:"cursor,omitempty"`
+	Cursor uint64
 	// Resume marks a reconnect hello: the node replays ring alerts after
 	// Cursor instead of starting the subscription fresh.
-	Resume bool `json:"resume,omitempty"`
+	Resume bool
 	// Replay marks a frame re-sent after a reconnect; the node consults
 	// its per-client dedup window before applying it.
-	Replay bool `json:"replay,omitempty"`
+	Replay bool
 	// Gossip carries router-to-router reconciliation state (gossip frames
 	// and their ok replies).
-	Gossip *GossipState `json:"gossip,omitempty"`
+	Gossip *GossipState
 }
 
 // NodeAlert is one identity transition observed somewhere in the cluster,
@@ -154,44 +144,39 @@ type NodeAlert struct {
 	Seq uint64 `json:"seq,omitempty"`
 }
 
-// knownFrameTypes rejects frames whose type no handler understands at
-// decode time, so protocol drift surfaces as a clean error on the reader
-// rather than a silent no-op.
-var knownFrameTypes = map[string]bool{
-	FrameHello: true, FrameFeed: true, FrameExport: true, FrameImport: true,
-	FrameFlush: true, FrameStats: true, FrameOK: true, FrameError: true,
-	FrameAlert: true, FrameCommit: true, FrameAbort: true, FrameGossip: true,
-	FrameList: true,
-}
-
-// WriteFrame encodes one frame onto w. Callers sharing a connection must
-// serialize WriteFrame calls (the protocol requires whole frames in write
-// order).
+// WriteFrame encodes one frame onto w with a single Write. Callers
+// sharing a connection must serialize WriteFrame calls (the protocol
+// requires whole frames in write order).
 func WriteFrame(w io.Writer, f Frame) error {
-	payload, err := json.Marshal(f)
+	buf, err := appendFrame(nil, f)
 	if err != nil {
-		return fmt.Errorf("cluster: encoding %s frame: %w", f.Type, err)
+		return err
 	}
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("cluster: %s frame of %d bytes exceeds limit %d", f.Type, len(payload), MaxFrameBytes)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("cluster: writing frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("cluster: writing frame payload: %w", err)
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("cluster: writing %s frame: %w", f.Type, err)
 	}
 	return nil
 }
 
-// ReadFrame decodes one frame from r, accepting JSON (wire v1) and binary
-// (wire v2) payloads interchangeably: the binary magic in the first
-// payload byte selects the decoder, so a reader needs no per-connection
-// version state. Malformed input — truncated headers or payloads,
-// oversized lengths, invalid JSON or binary structure, unknown frame
-// types — returns an error, never panics (FuzzReadFrame,
+// appendFrame appends f's length prefix and binary payload to dst.
+func appendFrame(dst []byte, f Frame) ([]byte, error) {
+	start := len(dst)
+	dst, err := AppendBinaryFrame(append(dst, 0, 0, 0, 0), f)
+	if err != nil {
+		return dst[:start], err
+	}
+	n := len(dst) - start - 4
+	if n > MaxFrameBytes {
+		return dst[:start], fmt.Errorf("cluster: %s frame of %d bytes exceeds limit %d", f.Type, n, MaxFrameBytes)
+	}
+	binary.BigEndian.PutUint32(dst[start:], uint32(n))
+	return dst, nil
+}
+
+// ReadFrame decodes one frame from r. Malformed input — truncated headers
+// or payloads, oversized lengths, a payload that is not a binary frame
+// (such as a JSON frame from a legacy peer), an unknown format version or
+// frame type — returns an error, never panics (FuzzReadFrame,
 // FuzzBinaryFrame). A clean EOF before any header byte returns io.EOF
 // unwrapped so callers can detect an orderly connection end.
 func ReadFrame(r io.Reader) (Frame, error) {
@@ -213,17 +198,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return Frame{}, fmt.Errorf("cluster: reading %d-byte frame payload: %w", n, err)
 	}
-	if payload[0] == binaryMagic {
-		return decodeBinaryFrame(payload)
-	}
-	var f Frame
-	if err := json.Unmarshal(payload, &f); err != nil {
-		return Frame{}, fmt.Errorf("cluster: decoding frame: %w", err)
-	}
-	if !knownFrameTypes[f.Type] {
-		return Frame{}, fmt.Errorf("cluster: unknown frame type %q", f.Type)
-	}
-	return f, nil
+	return decodeBinaryFrame(payload)
 }
 
 // errorFrame builds the failure reply for a request.

@@ -9,14 +9,15 @@ import (
 	"testing"
 
 	"webtxprofile/internal/core"
+	"webtxprofile/internal/weblog"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Type: FrameHello, Seq: 1, Node: "router-1", Subscribe: true},
-		{Type: FrameFeed, Seq: 2, Lines: []string{"a, b", "c, d"}},
-		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1", "10.0.0.2"}},
-		{Type: FrameImport, Seq: 4, Blob: []byte{0x1f, 0x8b, 0x00, 0xff}},
+		{Type: FrameFeed, Seq: 2, Txs: []weblog.Transaction{binarySeedTx()}},
+		{Type: FrameExport, Seq: 3, Devices: []string{"10.0.0.1", "10.0.0.2"}, Handoff: "r/1"},
+		{Type: FrameImport, Seq: 4, Blob: []byte{'W', 'T', 'P', 'S', 0xff}, Handoff: "r/1"},
 		{Type: FrameFlush, Seq: 5},
 		{Type: FrameStats, Seq: 6},
 		{Type: FrameOK, Seq: 7, Count: 42, Blob: []byte("state")},
@@ -51,6 +52,9 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 		binary.BigEndian.PutUint32(h[:], n)
 		return h[:]
 	}
+	frame := func(payload ...byte) []byte {
+		return append(header(uint32(len(payload))), payload...)
+	}
 	cases := []struct {
 		name string
 		data []byte
@@ -59,10 +63,14 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 		{"zero length", header(0), "zero-length"},
 		{"oversize length", header(MaxFrameBytes + 1), "exceeds limit"},
 		{"truncated header", []byte{0, 0}, "frame header"},
-		{"truncated payload", append(header(10), '{', '}'), "payload"},
-		{"invalid json", append(header(4), []byte("nope")...), "decoding frame"},
-		{"unknown type", append(header(15), []byte(`{"type":"warp"}`)...), "unknown frame type"},
-		{"empty type", append(header(2), []byte(`{}`)...), "unknown frame type"},
+		{"truncated payload", append(header(10), binaryMagic, frameVersion), "payload"},
+		{"invalid json", frame([]byte("nope")...), "non-binary"},
+		{"json hello", frame([]byte(`{"type":"hello","seq":1}`)...), "non-binary"},
+		{"unknown type", frame(binaryMagic, frameVersion, 0x63, 0x01), "unknown binary frame type"},
+		{"empty type", frame(binaryMagic, frameVersion, 0x00, 0x01), "unknown binary frame type"},
+		{"future version", frame(binaryMagic, frameVersion+1, 0x01, 0x01), "version"},
+		{"retired wire tag", frame(binaryMagic, frameVersion, 0x01, 0x01, 3, 2), "unknown field tag 3"},
+		{"retired lines tag", frame(binaryMagic, frameVersion, 0x02, 0x01, 4, 0), "unknown field tag 4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,51 +8,20 @@ import (
 	"webtxprofile/internal/weblog"
 )
 
-// Wire v2: a compact binary frame encoding negotiated per connection in
-// the hello exchange (see doc.go for the layout and negotiation rules).
-// The hello itself — and every frame from a v1 peer — stays JSON; the
-// reader distinguishes the two per frame by the payload's first byte,
-// which is the binary magic for v2 frames and '{' for JSON.
+// The binary frame encoding: the payload behind every 4-byte length
+// prefix of wire.go, on node and gossip connections alike (doc.go gives
+// the layout). A reader rejects any format version but frameVersion and
+// any payload that does not start with binaryMagic.
 
-// Wire protocol versions. A peer advertises the highest version it speaks
-// in its hello frame; the node replies with min(peer, own), and both sides
-// write that version from the next frame on.
-const (
-	// WireV1 is length-prefixed JSON — the original protocol, and the
-	// version assumed for peers whose hello carries no wire field.
-	WireV1 = 1
-	// WireV2 is the length-prefixed binary frame encoding; transactions
-	// travel as weblog binary records instead of log lines.
-	WireV2 = 2
-	// MaxWireVersion is the highest version this build speaks.
-	MaxWireVersion = WireV2
-)
-
-// binaryMagic is the first payload byte of every binary frame. JSON
-// payloads always start with '{', so one byte disambiguates.
+// binaryMagic is the first payload byte of every frame.
 const binaryMagic = 0xF7
 
-// normWire maps a hello's advertised wire version to an effective one:
-// absent (0) means a v1 peer; anything higher than this build is capped by
-// negotiation, not here.
-func normWire(w int) int {
-	if w <= 0 {
-		return WireV1
-	}
-	return w
-}
+// frameVersion is the format version byte that follows the magic. It is
+// 2 because the retired JSON framing was version 1.
+const frameVersion = 2
 
-// negotiateWire picks the version both ends speak.
-func negotiateWire(peer, own int) int {
-	p, o := normWire(peer), normWire(own)
-	if p < o {
-		return p
-	}
-	return o
-}
-
-// Binary frame type codes, fixed on the wire (the JSON type strings are
-// not sent in v2).
+// Binary frame type codes, fixed on the wire (the type strings are not
+// sent).
 var frameTypeCodes = map[string]byte{
 	FrameHello: 1, FrameFeed: 2, FrameExport: 3, FrameImport: 4,
 	FrameFlush: 5, FrameStats: 6, FrameOK: 7, FrameError: 8, FrameAlert: 9,
@@ -69,13 +38,12 @@ var frameTypeNames = func() [14]string {
 }()
 
 // Binary frame field tags. Fields at their zero value are omitted; an
-// unknown tag is a decode error (protocol drift must surface, as with
-// unknown JSON frame types).
+// unknown tag is a decode error (protocol drift must surface). Tags 3 and
+// 4 are retired — they carried the hello's wire version and log-line
+// feeds — and stay reserved, so they decode as unknown.
 const (
 	tagNode      = 1 // uvarint length + bytes
 	tagSubscribe = 2 // no payload; presence means true
-	tagWire      = 3 // uvarint
-	tagLines     = 4 // uvarint count, then per line: uvarint length + bytes
 	tagDevices   = 5 // uvarint count, then per device: uvarint length + bytes
 	tagBlob      = 6 // uvarint length + bytes
 	tagCount     = 7 // zigzag varint
@@ -92,32 +60,22 @@ const (
 	tagGossip  = 16 // uvarint length + JSON-encoded GossipState
 )
 
-// AppendBinaryFrame appends f's wire-v2 encoding to dst. The layout is
+// AppendBinaryFrame appends f's binary encoding to dst. The layout is
 //
 //	magic byte, version byte (2), frame type code, uvarint seq,
 //	tagged fields until the payload ends
-//
-// Feed payloads use Txs when set, Lines otherwise — a frame carrying both
-// would encode both, but no producer does.
 func AppendBinaryFrame(dst []byte, f Frame) ([]byte, error) {
 	code, ok := frameTypeCodes[f.Type]
 	if !ok {
 		return dst, fmt.Errorf("cluster: frame type %q has no binary encoding", f.Type)
 	}
-	dst = append(dst, binaryMagic, WireV2, code)
+	dst = append(dst, binaryMagic, frameVersion, code)
 	dst = binary.AppendUvarint(dst, f.Seq)
 	if f.Node != "" {
 		dst = appendTagString(dst, tagNode, f.Node)
 	}
 	if f.Subscribe {
 		dst = append(dst, tagSubscribe)
-	}
-	if f.Wire != 0 {
-		dst = append(dst, tagWire)
-		dst = binary.AppendUvarint(dst, uint64(f.Wire))
-	}
-	if len(f.Lines) > 0 {
-		dst = appendTagStrings(dst, tagLines, f.Lines)
 	}
 	if len(f.Devices) > 0 {
 		dst = appendTagStrings(dst, tagDevices, f.Devices)
@@ -194,17 +152,20 @@ func appendTagStrings(dst []byte, tag byte, ss []string) []byte {
 	return dst
 }
 
-// decodeBinaryFrame decodes one wire-v2 payload. The payload is converted
+// decodeBinaryFrame decodes one frame payload. The payload is converted
 // to a string once; every decoded string field (including the transactions'
 // fields) aliases that one copy, so a feed frame decodes with no per-field
 // allocation. Malformed input returns an error, never panics
 // (FuzzBinaryFrame).
 func decodeBinaryFrame(payload []byte) (Frame, error) {
 	s := string(payload)
-	if len(s) < 3 || s[0] != binaryMagic {
-		return Frame{}, fmt.Errorf("cluster: not a binary frame")
+	if len(s) > 0 && s[0] != binaryMagic {
+		return Frame{}, fmt.Errorf("cluster: non-binary frame payload (leading byte %#02x)", s[0])
 	}
-	if s[1] != WireV2 {
+	if len(s) < 3 {
+		return Frame{}, fmt.Errorf("cluster: truncated %d-byte frame payload", len(s))
+	}
+	if s[1] != frameVersion {
 		return Frame{}, fmt.Errorf("cluster: unsupported binary frame version %d", s[1])
 	}
 	code := s[2]
@@ -226,18 +187,6 @@ func decodeBinaryFrame(payload []byte) (Frame, error) {
 			f.Node, s, err = readWireString(s)
 		case tagSubscribe:
 			f.Subscribe = true
-		case tagWire:
-			var w uint64
-			if w, s, err = readWireUvarint(s); err == nil {
-				if w > MaxWireVersion {
-					// Cap instead of reject: a future peer advertising v9
-					// must still negotiate down to what this build speaks.
-					w = MaxWireVersion
-				}
-				f.Wire = int(w)
-			}
-		case tagLines:
-			f.Lines, s, err = readWireStrings(s)
 		case tagDevices:
 			f.Devices, s, err = readWireStrings(s)
 		case tagBlob:

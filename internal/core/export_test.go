@@ -5,11 +5,38 @@ import (
 	"time"
 )
 
+// moveDevices runs one complete two-phase handoff of the named devices
+// from src to dst — ExportStaged, Sync, StageImport, CommitHandoff on
+// both sides — and returns the device count the blob carried. Both sides
+// must end with no pending handoff.
+func moveDevices(t *testing.T, src, dst *Monitor, id string, devices []string) int {
+	t.Helper()
+	blob, n, err := src.ExportStaged(id, devices)
+	if err != nil {
+		t.Fatalf("ExportStaged(%s): %v", id, err)
+	}
+	src.Sync()
+	if got, err := dst.StageImport(id, blob); err != nil || got != n {
+		t.Fatalf("StageImport(%s) = %d, %v; want %d", id, got, err, n)
+	}
+	if got, err := dst.CommitHandoff(id); err != nil || got != n {
+		t.Fatalf("importer CommitHandoff(%s) = %d, %v; want %d", id, got, err, n)
+	}
+	if got, err := src.CommitHandoff(id); err != nil || got != n {
+		t.Fatalf("exporter CommitHandoff(%s) = %d, %v; want %d", id, got, err, n)
+	}
+	if src.PendingHandoffs() != 0 || dst.PendingHandoffs() != 0 {
+		t.Fatalf("pending handoffs after %s: src %d, dst %d", id, src.PendingHandoffs(), dst.PendingHandoffs())
+	}
+	return n
+}
+
 // TestMonitorExportDevicesMatchesReference moves an arbitrary subset of
-// live devices between two monitors mid-stream via the device-granular
-// export and checks the combined per-device alert sequences stay
+// live devices between two monitors mid-stream through the two-phase
+// handoff and checks the combined per-device alert sequences stay
 // byte-identical to a single uninterrupted monitor — the primitive the
-// cluster router's drain is built on.
+// cluster router's drain is built on. The device list carries a
+// duplicate, an empty name and an unknown device, which are skipped.
 func TestMonitorExportDevicesMatchesReference(t *testing.T) {
 	set, testDS := sharedSet(t)
 	txs, devices := deviceStream(testDS, 6, 6000)
@@ -32,16 +59,9 @@ func TestMonitorExportDevicesMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	blob, n, err := src.ExportDevices([]string{devices[1], devices[4], devices[1], "", "10.255.0.9"})
-	if err != nil {
-		t.Fatalf("ExportDevices: %v", err)
-	}
+	n := moveDevices(t, src, dst, "subset", []string{devices[1], devices[4], devices[1], "", "10.255.0.9"})
 	if n != 2 {
-		t.Fatalf("exported %d devices, want 2 (dups, empties and unknowns skipped)", n)
-	}
-	src.Sync()
-	if got, err := dst.ImportShard(blob); err != nil || got != 2 {
-		t.Fatalf("ImportShard = %d, %v", got, err)
+		t.Fatalf("moved %d devices, want 2 (dups, empties and unknowns skipped)", n)
 	}
 	for _, tx := range txs[cut:] {
 		m := src
@@ -90,20 +110,16 @@ func TestMonitorExportDevicesFromSpill(t *testing.T) {
 	if store.Len() != 1 {
 		t.Fatalf("spilled devices = %d, want 1", store.Len())
 	}
-	blob, n, err := src.ExportDevices([]string{"10.0.0.1"})
-	if err != nil || n != 1 {
-		t.Fatalf("ExportDevices = %d, %v", n, err)
-	}
-	if store.Len() != 0 {
-		t.Error("export left the spilled blob behind")
-	}
 	dst, err := NewMonitor(set, 2, func(Alert) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dst.Close()
-	if got, err := dst.ImportShard(blob); err != nil || got != 1 {
-		t.Fatalf("ImportShard = %d, %v", got, err)
+	if n := moveDevices(t, src, dst, "spilled", []string{"10.0.0.1"}); n != 1 {
+		t.Fatalf("moved %d devices, want 1", n)
+	}
+	if store.Len() != 0 {
+		t.Error("export left the spilled blob behind")
 	}
 	if dst.Devices() != 1 {
 		t.Errorf("importer tracks %d devices, want 1", dst.Devices())
@@ -111,7 +127,7 @@ func TestMonitorExportDevicesFromSpill(t *testing.T) {
 }
 
 // TestMonitorExportDevicesEmpty: exporting nothing (or only unknowns)
-// yields a valid empty blob that imports as zero devices.
+// yields a valid empty blob that stages and commits as zero devices.
 func TestMonitorExportDevicesEmpty(t *testing.T) {
 	set, _ := sharedSet(t)
 	m, err := NewMonitor(set, 2, func(Alert) {})
@@ -119,11 +135,15 @@ func TestMonitorExportDevicesEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	blob, n, err := m.ExportDevices([]string{"10.1.2.3"})
-	if err != nil || n != 0 {
-		t.Fatalf("ExportDevices = %d, %v", n, err)
+	dst, err := NewMonitor(set, 2, func(Alert) {})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, err := m.ImportShard(blob); err != nil || got != 0 {
-		t.Fatalf("ImportShard of empty export = %d, %v", got, err)
+	defer dst.Close()
+	if n := moveDevices(t, m, dst, "empty", []string{"10.1.2.3"}); n != 0 {
+		t.Fatalf("moved %d devices, want 0", n)
+	}
+	if dst.Devices() != 0 {
+		t.Errorf("importer tracks %d devices after an empty move", dst.Devices())
 	}
 }

@@ -74,7 +74,7 @@ func realStateBlobs(tb testing.TB) (blob, export []byte) {
 	sh.mu.Lock()
 	blob = encodeDeviceStates(deviceStateLocked(devices[0], sh.devices[devices[0]]))
 	sh.mu.Unlock()
-	export, _, err = mon.ExportDevices(devices)
+	export, _, err = mon.ExportStaged("fuzz-seed", devices)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -135,10 +135,10 @@ func sharedSetForFuzz(tb testing.TB) (*ProfileSet, *weblog.Dataset) {
 }
 
 // FuzzDeviceStateBlob: the state decoders — decodeDeviceState (the
-// admit/rehydrate path) and decodeDeviceStates (the ImportShard and
-// StageImport path) — must error on malformed input, never panic. Each
-// input is tried as given and with its CRC trailer restamped, so mutations
-// reach the section decoders behind the integrity check. Anything that
+// admit/rehydrate path) and decodeDeviceStates (the StageImport path) —
+// must error on malformed input, never panic. Each input is tried as given
+// and with its CRC trailer restamped, so mutations reach the section
+// decoders behind the integrity check. Anything that
 // decodes must re-encode to a blob decoding to the same states, and must
 // survive RestoreIdentifier's structural validation (error or identifier,
 // never a panic) against a real trained profile set.

@@ -6,18 +6,19 @@ import (
 	"sort"
 )
 
-// Two-phase shard handoff. The device-granular ExportDevices/ImportShard
-// pair moves state at most once: if the importer applied the blob but its
-// acknowledgement was lost, the mover cannot distinguish that from a
-// never-applied import, and re-adopting at the source strands a stale
-// copy on the destination. The staged API closes that window by making
-// both sides hold the state revocably under a caller-chosen handoff id:
+// Two-phase shard handoff: the only way device state moves between
+// monitors. A one-shot export/import moves state at most once: if the
+// importer applied the blob but its acknowledgement was lost, the mover
+// cannot distinguish that from a never-applied import, and re-adopting at
+// the source strands a stale copy on the destination. The staged API
+// closes that window by making both sides hold the state revocably under
+// a caller-chosen handoff id:
 //
-//   - ExportStaged serializes and stops tracking the devices like
-//     ExportDevices, but keeps the decoded states in a holding area. The
-//     source can re-adopt them (AbortHandoff) or release them
-//     (CommitHandoff) later; until then the devices are gone from the
-//     live shards but not from this process.
+//   - ExportStaged serializes and stops tracking the devices, but keeps
+//     the decoded states in a holding area. The source can re-adopt them
+//     (AbortHandoff) or release them (CommitHandoff) later; until then
+//     the devices are gone from the live shards but not from this
+//     process.
 //   - StageImport decodes and validates a blob but keeps the devices
 //     invisible — they are not tracked, not fed, not exported — until
 //     CommitHandoff adopts them atomically or AbortHandoff drops them.
@@ -65,13 +66,17 @@ type handoffEntry struct {
 	stagedAt int64
 }
 
-// ExportStaged serializes and stops tracking the named devices like
-// ExportDevices, but holds their states under id so the caller can
-// AbortHandoff (re-adopt them here) or CommitHandoff (release them) once
-// the fate of the move is known. Calling it again with the same id
-// returns the identical held blob without touching the live shards, so a
-// mover whose reply was lost retries safely. Exporting under a recently
-// committed id is an error.
+// ExportStaged serializes and stops tracking the named devices, holding
+// their states under id so the caller can AbortHandoff (re-adopt them
+// here) or CommitHandoff (release them) once the fate of the move is
+// known. Devices not live here are taken from a private spill store;
+// devices unknown to both, duplicates and empty names are skipped, so the
+// returned count is what the blob carries. The blob is deterministic for
+// a given device population. Alerts already enqueued for the devices
+// still deliver here; call Sync before handing the blob on. Calling it
+// again with the same id returns the identical held blob without touching
+// the live shards, so a mover whose reply was lost retries safely.
+// Exporting under a recently committed id is an error.
 func (m *Monitor) ExportStaged(id string, devices []string) ([]byte, int, error) {
 	if id == "" {
 		return nil, 0, fmt.Errorf("core: empty handoff id")
@@ -303,7 +308,7 @@ func (m *Monitor) adoptStatesAtomic(states []DeviceState) error {
 }
 
 // collectDeviceStates serializes and stops tracking the named devices —
-// the shared harvesting pass behind ExportDevices and ExportStaged.
+// the harvesting pass behind ExportStaged.
 // Untracked devices are looked up in the spill store; devices unknown to
 // both (and duplicates, and empty names) are skipped. Per-device spill
 // failures are reported in the returned slice without stopping the

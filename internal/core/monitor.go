@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -868,86 +867,6 @@ func (m *Monitor) Checkpoint() (spilled, failed int, err error) {
 	return spilled, failed, err
 }
 
-// ExportShard serializes and stops tracking every device of shard i — one
-// side of a shard handoff between processes: the bytes carry each device's
-// window buffer, streaks, confirmed identity and last-seen stamp, and
-// ImportShard on another Monitor resumes them exactly. Alerts already
-// enqueued for the exported devices still deliver here. The empty shard
-// exports successfully (zero devices).
-func (m *Monitor) ExportShard(i int) ([]byte, error) {
-	if i < 0 || i >= len(m.shards) {
-		return nil, fmt.Errorf("core: shard %d out of range [0,%d)", i, len(m.shards))
-	}
-	sh := m.shards[i]
-	sh.mu.Lock()
-	states := make([]DeviceState, 0, len(sh.devices))
-	for device, tr := range sh.devices {
-		states = append(states, deviceStateLocked(device, tr))
-		delete(sh.devices, device)
-	}
-	sh.mu.Unlock()
-	// Deterministic bytes for a given shard population.
-	sort.Slice(states, func(a, b int) bool { return states[a].Device < states[b].Device })
-	return encodeDeviceStates(states...), nil
-}
-
-// ExportDevices serializes and stops tracking the named devices — the
-// device-granular side of a shard handoff, used by the cluster router to
-// drain exactly the devices whose placement changed on a membership
-// change. The blob is the same format ExportShard produces, so ImportShard
-// on another Monitor resumes the devices exactly. Devices not currently
-// tracked are looked up in the spill store (they may have been idle-evicted
-// there) and exported from it; devices unknown to both are skipped — the
-// caller may be draining a device this monitor never saw. Duplicate names
-// are exported once. It returns the number of devices exported. Alerts
-// already enqueued for the exported devices still deliver here; call Sync
-// to wait for them before handing the blob to the importer.
-//
-// Feeding an exported device again starts it fresh (or rehydrates a stale
-// spill copy), forking its state from the exported blob — callers moving
-// live devices must stop routing transactions here first.
-func (m *Monitor) ExportDevices(devices []string) ([]byte, int, error) {
-	states, errs := m.collectDeviceStates(devices)
-	// Deterministic bytes for a given device population, like ExportShard.
-	sort.Slice(states, func(a, b int) bool { return states[a].Device < states[b].Device })
-	return encodeDeviceStates(states...), len(states), errors.Join(errs...)
-}
-
-// ImportShard adopts the devices of an ExportShard blob, routing each to
-// this monitor's own shard for it (the exporting monitor's shard layout —
-// count and hash seed — does not travel; only the devices do) and resuming
-// identification with this monitor's consecutive-window threshold. It
-// returns the number of devices adopted. A device already tracked here is
-// left untouched and reported in the joined error — two live states for
-// one device means the handoff routed transactions wrong.
-func (m *Monitor) ImportShard(data []byte) (int, error) {
-	states, err := decodeDeviceStates(data)
-	if err != nil {
-		return 0, err
-	}
-	imported := 0
-	var errs []error
-	for _, st := range states {
-		sh := m.shardFor(st.Device)
-		sh.mu.Lock()
-		if _, exists := sh.devices[st.Device]; exists {
-			sh.mu.Unlock()
-			errs = append(errs, fmt.Errorf("core: device %s already tracked, import skipped", st.Device))
-			continue
-		}
-		tr, err := m.restoreTrackLocked(sh, st)
-		if err != nil {
-			sh.mu.Unlock()
-			errs = append(errs, err)
-			continue
-		}
-		sh.devices[st.Device] = tr
-		sh.mu.Unlock()
-		imported++
-	}
-	return imported, errors.Join(errs...)
-}
-
 // Flush completes all devices' pending windows (end of stream), emits any
 // final alerts, and waits until every alert enqueued so far has been
 // delivered to the callback. Flushing concurrently with Feed/FeedBatch is
@@ -967,7 +886,7 @@ func (m *Monitor) Flush() {
 
 // Sync blocks until every alert enqueued so far has been delivered to the
 // callback, without flushing any windows — the ordering barrier a shard
-// handoff needs: after ExportDevices+Sync, all of the exported devices'
+// handoff needs: after ExportStaged+Sync, all of the exported devices'
 // alerts have left this monitor, so the importer's alerts are strictly
 // later. Syncing concurrently with feeding is safe; alerts enqueued after
 // Sync begins may or may not be waited for.

@@ -547,11 +547,12 @@ func TestMonitorCheckpointRestoreMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMonitorExportImportShards is the shard-handoff acceptance criterion:
-// ExportShard→ImportShard into a fresh Monitor (different seed, different
-// shard count) must preserve every device's pending windows and streaks —
-// proven by the combined alert sequences matching the uninterrupted
-// reference.
+// TestMonitorExportImportShards is the whole-population handoff
+// acceptance criterion: moving every device through ExportStaged →
+// StageImport → CommitHandoff into a fresh Monitor (different seed,
+// different shard count) must preserve every device's pending windows and
+// streaks — proven by the combined alert sequences matching the
+// uninterrupted reference.
 func TestMonitorExportImportShards(t *testing.T) {
 	set, testDS := sharedSet(t)
 	txs, _ := deviceStream(testDS, 9, 6000)
@@ -581,20 +582,12 @@ func TestMonitorExportImportShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imported := 0
-	for i := 0; i < 8; i++ {
-		blob, err := mon1.ExportShard(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, err := mon2.ImportShard(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		imported += n
+	names, err := mon1.TrackedDevices()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if imported != moved {
-		t.Fatalf("imported %d devices, exported monitor had %d", imported, moved)
+	if n := moveDevices(t, mon1, mon2, "all", names); n != moved {
+		t.Fatalf("moved %d devices, exporting monitor had %d", n, moved)
 	}
 	if mon1.Devices() != 0 {
 		t.Errorf("exporting monitor still tracks %d devices", mon1.Devices())
@@ -617,9 +610,9 @@ func TestMonitorExportImportShards(t *testing.T) {
 	comparePerDevice(t, want, col.got)
 }
 
-// TestMonitorExportImportErrors covers the handoff error paths: bad shard
-// index, garbage bytes, version drift, and importing a device that is
-// already tracked.
+// TestMonitorExportImportErrors covers the handoff error paths: garbage
+// bytes and version drift are refused at StageImport, and committing a
+// staged device that is already tracked is refused at CommitHandoff.
 func TestMonitorExportImportErrors(t *testing.T) {
 	set, testDS := sharedSet(t)
 	mon, err := NewMonitorWithConfig(set, 2, func(Alert) {}, MonitorConfig{Shards: 2})
@@ -627,14 +620,8 @@ func TestMonitorExportImportErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mon.Close()
-	if _, err := mon.ExportShard(-1); err == nil {
-		t.Error("negative shard index accepted")
-	}
-	if _, err := mon.ExportShard(2); err == nil {
-		t.Error("out-of-range shard index accepted")
-	}
-	if _, err := mon.ImportShard([]byte("junk")); err == nil {
-		t.Error("garbage import accepted")
+	if _, err := mon.StageImport("junk", []byte("junk")); err == nil {
+		t.Error("garbage import staged")
 	}
 	empty := encodeDeviceStates()
 	devs, err := decodeDeviceStates(empty)
@@ -643,27 +630,38 @@ func TestMonitorExportImportErrors(t *testing.T) {
 	}
 	future := append([]byte(nil), empty[:len(empty)-4]...)
 	future[len(stateMagic)] = stateVersion + 1
-	if _, err := mon.ImportShard(restampCRC(future)); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := mon.StageImport("future", restampCRC(future)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future-version import error = %v", err)
 	}
+	if mon.PendingHandoffs() != 0 {
+		t.Errorf("refused imports left %d stagings behind", mon.PendingHandoffs())
+	}
 
-	// Conflict: export from one monitor, import twice into another that
-	// then already tracks the devices.
+	// Conflict: export a device, stage its blob twice on a monitor that
+	// tracks it once the first staging commits.
 	txs := hostStream(t, testDS, set.Users()[0], "10.0.0.5", 20)
 	for _, tx := range txs {
 		if err := mon.Feed(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blob, err := mon.ExportShard(mon.shardIndex("10.0.0.5"))
-	if err != nil {
-		t.Fatal(err)
+	blob, n, err := mon.ExportStaged("out", []string{"10.0.0.5"})
+	if err != nil || n != 1 {
+		t.Fatalf("ExportStaged = %d, %v", n, err)
 	}
-	if n, err := mon.ImportShard(blob); err != nil || n != 1 {
-		t.Fatalf("first import = %d, %v", n, err)
+	for _, id := range []string{"first", "second"} {
+		if n, err := mon.StageImport(id, blob); err != nil || n != 1 {
+			t.Fatalf("StageImport(%s) = %d, %v", id, n, err)
+		}
 	}
-	if n, err := mon.ImportShard(blob); err == nil || n != 0 {
-		t.Errorf("duplicate import = %d, %v — conflict not reported", n, err)
+	if n, err := mon.CommitHandoff("first"); err != nil || n != 1 {
+		t.Fatalf("first commit = %d, %v", n, err)
+	}
+	if n, err := mon.CommitHandoff("second"); err == nil || n != 0 {
+		t.Errorf("duplicate commit = %d, %v — conflict not reported", n, err)
+	}
+	if mon.Devices() != 1 {
+		t.Errorf("tracks %d devices after the refused commit, want 1", mon.Devices())
 	}
 }
 

@@ -6,7 +6,7 @@
 // Two halves. Server holds the authoritative per-device blobs in memory
 // (optionally persisted through any core.StateStore, e.g. a
 // core.DiskStateStore directory) and speaks a length-prefixed binary
-// protocol in the style of the cluster's wire v2. Client implements the
+// protocol in the style of the cluster's frames. Client implements the
 // four-method core.StateStore interface over that protocol with
 // write-behind batching: Put never touches the network — it coalesces
 // into a bounded dirty queue flushed by count or age — so the monitor's

@@ -7,7 +7,7 @@ import (
 	"io"
 )
 
-// Wire format, in the style of the cluster's binary wire v2: every frame
+// Wire format, in the style of the cluster's binary frames: every frame
 // is a 4-byte big-endian length followed by that many payload bytes, and
 // the payload is
 //
