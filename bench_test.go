@@ -476,7 +476,6 @@ func BenchmarkIngestToMonitor(b *testing.B) {
 			if err := c.Flush(); err != nil {
 				b.Fatal(err)
 			}
-			c.Close() // conn-end flush marker delivers the final partial batch
 			<-done
 			b.StopTimer()
 			mon.Flush()

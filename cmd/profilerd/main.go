@@ -5,8 +5,9 @@
 // for automatic logout (continuous authentication) or administrator alerts
 // (intrusion monitoring).
 //
-// The live path is the sharded streaming engine: parsed transactions are
-// batched per connection and fed through Monitor.FeedBatch, devices are
+// The live path is the sharded streaming engine: parsed transactions from
+// every connection share one ingest queue and are fed through
+// Monitor.FeedBatch in batches of whatever is queued, devices are
 // lock-striped across -shards shards (each with its own scoring scratch),
 // alerts are delivered from a dedicated goroutine rather than under a
 // lock, and devices idle longer than -idle-ttl (in stream time) are
@@ -333,9 +334,9 @@ func runStateServer(logger *log.Logger, addr, stateDir string) error {
 	}
 
 	waitSignal()
-	n := srv.Len()
+	n, failed := srv.Len(), srv.Stats().BackingErrors
 	err = srv.Close()
-	logger.Printf("state server shutting down holding %d devices", n)
+	logger.Printf("state server shutting down holding %d devices (%d failed backing writes)", n, failed)
 	return err
 }
 

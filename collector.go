@@ -9,8 +9,8 @@ type CollectorServer = collector.Server
 // CollectorClient streams transactions to a CollectorServer.
 type CollectorClient = collector.Client
 
-// CollectorBatchConfig tunes batched ingestion (batch size, flush
-// interval); the zero value selects the defaults.
+// CollectorBatchConfig tunes batched ingestion (batch size cap, queue
+// depth); the zero value selects the defaults.
 type CollectorBatchConfig = collector.BatchConfig
 
 // ListenCollector starts a TCP log collector on addr; handler receives

@@ -89,10 +89,12 @@
 // the collector never buffers unboundedly and never drops a parsed
 // transaction. Batch delivery (ListenCollectorBatch) rides the same
 // queue, pairing with FeedBatch so each shard lock is taken once per
-// batch; a size-capped batch flushes immediately, a partial batch after
-// FlushInterval. The steady-state feed path — ParseLine through feature
-// extraction into the shard loop — is allocation-free once warm,
-// gated by testing.AllocsPerRun tests at every layer.
+// batch. A batch holds whatever was queued when the consumer woke, up
+// to MaxBatch, and is delivered at once, so batch size follows the
+// backlog and no timer holds a record back. The steady-state feed path —
+// ParseLine through feature extraction into the shard loop — is
+// allocation-free once warm, gated by testing.AllocsPerRun tests at
+// every layer.
 //
 // # Durable identifier state
 //

@@ -13,14 +13,14 @@ import (
 type batchGather struct {
 	mu      sync.Mutex
 	txs     []weblog.Transaction
-	batches int
+	sizes   []int // length of each delivered batch, in delivery order
 	maxSeen int
 }
 
 func (g *batchGather) add(txs []weblog.Transaction) {
 	g.mu.Lock()
 	g.txs = append(g.txs, txs...)
-	g.batches++
+	g.sizes = append(g.sizes, len(txs))
 	if len(txs) > g.maxSeen {
 		g.maxSeen = len(txs)
 	}
@@ -35,7 +35,7 @@ func (g *batchGather) len() int {
 
 func TestServerBatchDelivery(t *testing.T) {
 	var g batchGather
-	s, err := ListenBatch("127.0.0.1:0", g.add, BatchConfig{MaxBatch: 8, FlushInterval: 20 * time.Millisecond})
+	s, err := ListenBatch("127.0.0.1:0", g.add, BatchConfig{MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,9 @@ func TestServerBatchDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 21 // 2 full batches of 8 + a timer-flushed remainder of 5
+	// At least 3 batches (none over 8), all delivered while the
+	// connection is still open.
+	const n = 21
 	for i := 0; i < n; i++ {
 		if err := c.Send(sampleTx(i)); err != nil {
 			t.Fatal(err)
@@ -61,8 +63,8 @@ func TestServerBatchDelivery(t *testing.T) {
 	if g.maxSeen > 8 {
 		t.Errorf("batch of %d exceeds MaxBatch 8", g.maxSeen)
 	}
-	if g.batches < 3 {
-		t.Errorf("batches = %d, want >= 3", g.batches)
+	if len(g.sizes) < 3 {
+		t.Errorf("batches = %d, want >= 3", len(g.sizes))
 	}
 	for i, tx := range g.txs {
 		if !tx.Timestamp.Equal(sampleTx(i).Timestamp) {
@@ -79,9 +81,9 @@ func TestServerBatchDelivery(t *testing.T) {
 
 func TestServerBatchFlushOnDisconnect(t *testing.T) {
 	var g batchGather
-	// Long flush interval: only the connection close can flush the
-	// partial batch.
-	s, err := ListenBatch("127.0.0.1:0", g.add, BatchConfig{MaxBatch: 64, FlushInterval: time.Hour})
+	// A tail far short of MaxBatch, then the connection ends: the records
+	// must arrive with no timer and no connection-end marker behind them.
+	s, err := ListenBatch("127.0.0.1:0", g.add, BatchConfig{MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +101,46 @@ func TestServerBatchFlushOnDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return g.len() == 5 })
+}
+
+// TestBatchDeliversWithoutTimer: on one open connection, each record
+// reaches the handler before the next is sent, within a 2s budget that a
+// wait of 10ms or more per record would use up.
+func TestBatchDeliversWithoutTimer(t *testing.T) {
+	const n = 200
+	delivered := make(chan weblog.Transaction, n)
+	s, err := ListenBatch("127.0.0.1:0", func(txs []weblog.Transaction) {
+		for _, tx := range txs {
+			delivered <- tx
+		}
+	}, BatchConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	deadline := time.After(2 * time.Second)
+	for i := 0; i < n; i++ {
+		if err := c.Send(sampleTx(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case tx := <-delivered:
+			if !tx.Timestamp.Equal(sampleTx(i).Timestamp) {
+				t.Fatalf("record %d: delivered stamp %v, want %v", i, tx.Timestamp, sampleTx(i).Timestamp)
+			}
+		case <-deadline:
+			t.Fatalf("only %d of %d records delivered one at a time within 2s", i, n)
+		}
+	}
 }
 
 func TestListenBatchValidation(t *testing.T) {

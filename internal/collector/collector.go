@@ -7,9 +7,12 @@
 // for an allocation-free ingest path.
 //
 // All connections feed one bounded ingest queue consumed by a single
-// goroutine: when the handler falls behind, the queue fills and the
-// connection goroutines block on the enqueue, which stops their socket
-// reads and pushes back on the senders through TCP flow control instead of
+// goroutine. The consumer hands the handler whatever is queued as soon as
+// it wakes, so batch size follows the backlog: a quiet link delivers each
+// record at once, and a handler that falls behind receives full batches.
+// When the handler falls behind, the queue fills and the connection
+// goroutines block on the enqueue, which stops their socket reads and
+// pushes back on the senders through TCP flow control instead of
 // buffering without bound.
 package collector
 
@@ -24,7 +27,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"webtxprofile/internal/weblog"
 )
@@ -36,21 +38,21 @@ type Handler func(tx weblog.Transaction)
 
 // BatchHandler consumes a batch of parsed transactions in arrival order —
 // the shape the sharded monitor's FeedBatch wants, taking each shard lock
-// once per batch instead of once per transaction. The handler is called
-// from the server's single ingest goroutine, so calls never overlap;
-// per-connection arrival order is preserved. The slice is reused after the
-// call returns; handlers must not retain it.
+// once per batch instead of once per transaction. A batch holds what was
+// queued when the ingest goroutine picked it up — one transaction on a
+// quiet link, up to BatchConfig.MaxBatch under backlog — and is never held
+// back waiting for more. The handler is called from the server's single
+// ingest goroutine, so calls never overlap; per-connection arrival order is
+// preserved. The slice is reused after the call returns; handlers must not
+// retain it.
 type BatchHandler func(txs []weblog.Transaction)
 
 // BatchConfig tunes batch ingestion. The zero value selects the defaults.
 type BatchConfig struct {
-	// MaxBatch flushes the pending batch once it holds this many
-	// transactions (default 256).
+	// MaxBatch caps one delivered batch, in transactions (default 256).
+	// A batch is delivered as soon as the queue runs dry, so it reaches
+	// this size only while the handler is behind.
 	MaxBatch int
-	// FlushInterval bounds how long a partial batch waits before being
-	// flushed, keeping identification latency low on quiet links
-	// (default 50ms).
-	FlushInterval time.Duration
 	// QueueDepth bounds the shared ingest queue, in transactions
 	// (default 4×MaxBatch). When the queue is full, connection reads
 	// block — backpressure reaches the proxies as TCP flow control.
@@ -60,9 +62,6 @@ type BatchConfig struct {
 func (c BatchConfig) withDefaults() BatchConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 50 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch
@@ -81,27 +80,18 @@ const maxLineBytes = 1 << 20
 // rather than corrupting the stream.
 const wirePreamble = "#wire2"
 
-// qitem is one unit on the shared ingest queue: a transaction, or a flush
-// marker enqueued when a connection ends so its partial batch is delivered
-// without waiting for the timer.
-type qitem struct {
-	tx    weblog.Transaction
-	flush bool
-}
-
 // Server accepts TCP connections carrying transaction records — log lines
 // by default, length-prefixed binary records after a connection sends the
 // wire preamble — and dispatches parsed records to the handler through the
 // shared ingest queue. Malformed records are counted and skipped — a log
 // collector must outlive bad input.
 type Server struct {
-	ln      net.Listener
-	handler Handler
-	batch   BatchHandler
-	bcfg    BatchConfig
-	errLog  *log.Logger
+	ln       net.Listener
+	handler  BatchHandler
+	maxBatch int
+	errLog   *log.Logger
 
-	queue chan qitem
+	queue chan weblog.Transaction
 	qdone chan struct{}
 
 	mu     sync.Mutex
@@ -119,30 +109,34 @@ func Listen(addr string, handler Handler) (*Server, error) {
 	if handler == nil {
 		return nil, errors.New("collector: nil handler")
 	}
-	return listen(addr, &Server{handler: handler, bcfg: BatchConfig{}.withDefaults()})
+	return ListenBatch(addr, func(txs []weblog.Transaction) {
+		for _, tx := range txs {
+			handler(tx)
+		}
+	}, BatchConfig{})
 }
 
 // ListenBatch starts a collector that delivers transactions in batches:
-// the ingest goroutine accumulates up to cfg.MaxBatch records and flushes
-// when the batch fills, when cfg.FlushInterval elapses, or when a
-// connection ends.
+// each time the ingest goroutine wakes it hands the handler everything
+// already queued, up to cfg.MaxBatch records, without waiting for more.
 func ListenBatch(addr string, handler BatchHandler, cfg BatchConfig) (*Server, error) {
 	if handler == nil {
 		return nil, errors.New("collector: nil batch handler")
 	}
-	return listen(addr, &Server{batch: handler, bcfg: cfg.withDefaults()})
-}
-
-func listen(addr string, s *Server) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("collector: listen %s: %w", addr, err)
 	}
-	s.ln = ln
-	s.errLog = log.New(discard{}, "", 0)
-	s.conns = make(map[net.Conn]struct{})
-	s.queue = make(chan qitem, s.bcfg.QueueDepth)
-	s.qdone = make(chan struct{})
+	cfg = cfg.withDefaults()
+	s := &Server{
+		ln:       ln,
+		handler:  handler,
+		maxBatch: cfg.MaxBatch,
+		errLog:   log.New(discard{}, "", 0),
+		queue:    make(chan weblog.Transaction, cfg.QueueDepth),
+		qdone:    make(chan struct{}),
+		conns:    make(map[net.Conn]struct{}),
+	}
 	go s.consume()
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -209,64 +203,19 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// consume is the single ingest goroutine: it drains the shared queue into
-// the handler, batching when the server runs in batch mode. One flush
-// timer serves the whole server; it is armed when a partial batch starts
-// waiting and stopped-and-drained whenever the batch flushes for another
-// reason, so closing the server never strands a timer.
+// consume is the single ingest goroutine. It blocks for the first queued
+// transaction, then takes whatever else is already queued, up to
+// MaxBatch, and calls the handler at once. It is the only receiver, so the
+// queue length it reads is a count of receives that cannot block.
 func (s *Server) consume() {
 	defer close(s.qdone)
-	if s.batch == nil {
-		for it := range s.queue {
-			if !it.flush {
-				s.handler(it.tx)
-			}
+	buf := make([]weblog.Transaction, 0, s.maxBatch)
+	for tx := range s.queue {
+		buf = append(buf[:0], tx)
+		for n := min(len(s.queue), s.maxBatch-1); n > 0; n-- {
+			buf = append(buf, <-s.queue)
 		}
-		return
-	}
-	buf := make([]weblog.Transaction, 0, s.bcfg.MaxBatch)
-	timer := time.NewTimer(s.bcfg.FlushInterval)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	armed := false // a value may be pending on timer.C
-	flush := func() {
-		if armed {
-			if !timer.Stop() {
-				<-timer.C
-			}
-			armed = false
-		}
-		if len(buf) > 0 {
-			s.batch(buf)
-			buf = buf[:0]
-		}
-	}
-	defer flush()
-	for {
-		select {
-		case it, ok := <-s.queue:
-			if !ok {
-				return // deferred flush delivers the tail
-			}
-			if it.flush {
-				flush()
-				continue
-			}
-			buf = append(buf, it.tx)
-			if len(buf) >= s.bcfg.MaxBatch {
-				flush()
-			} else if !armed {
-				timer.Reset(s.bcfg.FlushInterval)
-				armed = true
-			}
-		case <-timer.C:
-			armed = false
-			if len(buf) > 0 {
-				s.batch(buf)
-				buf = buf[:0]
-			}
-		}
+		s.handler(buf)
 	}
 }
 
@@ -278,12 +227,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	if s.batch != nil {
-		// Deliver the connection's tail immediately on disconnect rather
-		// than waiting out the flush timer. The queue cannot be closed
-		// before this send: Close waits for this goroutine first.
-		defer func() { s.queue <- qitem{flush: true} }()
-	}
 	br := bufio.NewReaderSize(conn, 1<<16)
 	for {
 		raw, err := readLine(br)
@@ -313,7 +256,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			continue
 		}
 		s.received.Add(1)
-		s.queue <- qitem{tx: tx}
+		s.queue <- tx
 	}
 }
 
@@ -353,7 +296,7 @@ func (s *Server) ingestBinary(conn net.Conn, br *bufio.Reader) {
 			continue
 		}
 		s.received.Add(1)
-		s.queue <- qitem{tx: tx}
+		s.queue <- tx
 	}
 }
 

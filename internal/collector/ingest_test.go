@@ -128,7 +128,7 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 	const maxBatch, depth, n = 8, 16, 400
 	s, err := ListenBatch("127.0.0.1:0", handler, BatchConfig{
-		MaxBatch: maxBatch, FlushInterval: 5 * time.Millisecond, QueueDepth: depth,
+		MaxBatch: maxBatch, QueueDepth: depth,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,14 +178,12 @@ func TestIngestBackpressure(t *testing.T) {
 }
 
 // TestServerGoroutineHygiene: a server that saw traffic on several
-// connections leaves no goroutines behind after Close — the regression
-// fence for the old per-connection flush timers, whose callbacks could
-// still be in flight at close.
+// connections leaves no goroutines behind after Close.
 func TestServerGoroutineHygiene(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
 		var g batchGather
-		s, err := ListenBatch("127.0.0.1:0", g.add, BatchConfig{MaxBatch: 4, FlushInterval: time.Millisecond})
+		s, err := ListenBatch("127.0.0.1:0", g.add, BatchConfig{MaxBatch: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,10 +212,20 @@ func TestServerGoroutineHygiene(t *testing.T) {
 }
 
 // TestCloseDeliversQueuedTail: Close returns only after everything already
-// read off the sockets has reached the handler.
+// read off the sockets has reached the handler. The handler is wedged on
+// its first delivery, so the rest is still queued when Close starts.
 func TestCloseDeliversQueuedTail(t *testing.T) {
 	var g batchGather
-	s, err := ListenBatch("127.0.0.1:0", g.add, BatchConfig{MaxBatch: 64, FlushInterval: time.Hour})
+	release := make(chan struct{})
+	first := true
+	handler := func(txs []weblog.Transaction) {
+		if first {
+			first = false
+			<-release
+		}
+		g.add(txs)
+	}
+	s, err := ListenBatch("127.0.0.1:0", handler, BatchConfig{MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +243,10 @@ func TestCloseDeliversQueuedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return s.Received() == n })
-	if err := s.Close(); err != nil {
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	close(release)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	if got := g.len(); got != n {

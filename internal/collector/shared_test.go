@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"webtxprofile/internal/weblog"
 )
@@ -13,8 +12,9 @@ import (
 // many concurrent clients — the deployment shape of a vantage point with
 // several proxies. integration_test.go only ever drives a single
 // connection; these pin down the multi-client contract: batches fill
-// under concurrent load, per-client transaction order survives, and a
-// client disconnect flushes its partial batch instead of dropping it.
+// while the handler is behind, per-client transaction order survives, and
+// a client's last records arrive when it disconnects instead of being
+// dropped.
 
 // clientTx marks a transaction with its client and sequence number so
 // delivery can be audited per client: the client index rides in the
@@ -27,9 +27,8 @@ func clientTx(client, seq int) weblog.Transaction {
 
 // runClients streams per-client transaction sequences concurrently, each
 // on its own connection, closing the connection right after its last
-// send (no explicit server-side flush can be forced by the client).
-func runClients(t *testing.T, addr string, clients, perClient int) {
-	t.Helper()
+// send, and returns the first error any client met.
+func runClients(addr string, clients, perClient int) error {
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
@@ -55,9 +54,10 @@ func runClients(t *testing.T, addr string, clients, perClient int) {
 	close(errs)
 	for err := range errs {
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // auditDelivery checks nothing was lost and per-client order holds.
@@ -84,27 +84,51 @@ func auditDelivery(t *testing.T, g *batchGather, clients, perClient int) {
 	}
 }
 
-// TestSharedIngestBatchFill: with enough volume per connection, batches
-// must actually fill to MaxBatch (the shape Monitor.FeedBatch wants) —
-// not trickle out one timer flush at a time — and every transaction from
-// every client must arrive, in per-client order.
+// TestSharedIngestBatchFill: while the handler is behind, batches must
+// fill to MaxBatch (the shape Monitor.FeedBatch wants), and every
+// transaction from every client must arrive, in per-client order. The
+// handler is wedged on its first delivery until the queue is full, so the
+// next QueueDepth/MaxBatch batches find a full batch already queued.
 func TestSharedIngestBatchFill(t *testing.T) {
-	const clients, perClient, maxBatch = 8, 100, 16
+	const clients, perClient, maxBatch, depth = 8, 100, 16, 64
 	var g batchGather
-	// A generous flush interval so full batches, not the timer, dominate
-	// delivery while the burst is in flight.
-	s, err := ListenBatch("127.0.0.1:0", g.add, BatchConfig{MaxBatch: maxBatch, FlushInterval: 500 * time.Millisecond})
+	wedged, release := make(chan struct{}), make(chan struct{})
+	first := true
+	handler := func(txs []weblog.Transaction) {
+		if first {
+			first = false
+			close(wedged)
+			<-release
+		}
+		g.add(txs)
+	}
+	s, err := ListenBatch("127.0.0.1:0", handler, BatchConfig{MaxBatch: maxBatch, QueueDepth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	var unwedge sync.Once
+	defer unwedge.Do(func() { close(release) }) // runs before Close on a failed wait
 
-	runClients(t, s.Addr().String(), clients, perClient)
+	sent := make(chan error, 1)
+	go func() { sent <- runClients(s.Addr().String(), clients, perClient) }()
+	<-wedged
+	waitFor(t, func() bool { return len(s.queue) == depth })
+	unwedge.Do(func() { close(release) })
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, func() bool { return g.len() == clients*perClient })
 
 	g.mu.Lock()
-	maxSeen, batches := g.maxSeen, g.batches
+	maxSeen, batches := g.maxSeen, len(g.sizes)
+	backed := append([]int(nil), g.sizes[1:1+depth/maxBatch]...)
 	g.mu.Unlock()
+	for i, n := range backed {
+		if n != maxBatch {
+			t.Errorf("batch %d after the queue filled holds %d, want a full %d", i+1, n, maxBatch)
+		}
+	}
 	if maxSeen != maxBatch {
 		t.Errorf("largest batch = %d, want a full %d under sustained load", maxSeen, maxBatch)
 	}
@@ -118,19 +142,22 @@ func TestSharedIngestBatchFill(t *testing.T) {
 }
 
 // TestSharedIngestDisconnectFlush: partial batches must survive client
-// disconnects. The flush interval is an hour and every client's stream
-// length is coprime to MaxBatch, so the only way the tail of each
-// client's data reaches the handler is the connection-end flush.
+// disconnects. Every client's stream length is coprime to MaxBatch and
+// nothing marks a connection's end on the queue, so each client's tail
+// reaches the handler only because the consumer delivers whatever is
+// queued without waiting for a batch to fill.
 func TestSharedIngestDisconnectFlush(t *testing.T) {
 	const clients, perClient = 6, 37
 	var g batchGather
-	s, err := ListenBatch("127.0.0.1:0", g.add, BatchConfig{MaxBatch: 64, FlushInterval: time.Hour})
+	s, err := ListenBatch("127.0.0.1:0", g.add, BatchConfig{MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	runClients(t, s.Addr().String(), clients, perClient)
+	if err := runClients(s.Addr().String(), clients, perClient); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, func() bool { return g.len() == clients*perClient })
 	auditDelivery(t, &g, clients, perClient)
 	if fails := s.ParseFailures(); fails != 0 {
@@ -145,7 +172,7 @@ func TestSharedIngestDisconnectFlush(t *testing.T) {
 func TestSharedIngestAbruptDisconnect(t *testing.T) {
 	const perClient = 23
 	var g batchGather
-	s, err := ListenBatch("127.0.0.1:0", g.add, BatchConfig{MaxBatch: 64, FlushInterval: time.Hour})
+	s, err := ListenBatch("127.0.0.1:0", g.add, BatchConfig{MaxBatch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +192,9 @@ func TestSharedIngestAbruptDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second client keeps the server demonstrably live afterwards.
-	runClients(t, s.Addr().String(), 1, perClient) // client index 0 again: audit as 1 client × 2 runs
+	if err := runClients(s.Addr().String(), 1, perClient); err != nil { // client index 0 again
+		t.Fatal(err)
+	}
 	waitFor(t, func() bool { return g.len() == 2*perClient })
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -22,9 +22,10 @@ type ServerConfig struct {
 	// a small envelope carrying the device's version, so the monotonic
 	// fence survives the restart; a directory previously written by a
 	// plain -state-dir daemon is adopted with every device at version 1.
-	// Backing failures are logged and do not fail the in-memory apply:
-	// the tier stays available and the durability is best-effort, like
-	// the monitor's own spill fallback.
+	// Backing failures are logged, counted in ServerStats.BackingErrors
+	// and do not fail the in-memory apply or its reply: the tier stays
+	// available and the durability is best-effort, like the monitor's own
+	// spill fallback.
 	Backing core.StateStore
 	// WriteTimeout bounds each reply write (default 30s).
 	WriteTimeout time.Duration
@@ -52,14 +53,17 @@ type entry struct {
 
 // ServerStats counts protocol operations since the server started;
 // StaleDrops is the versioning fence doing its job (a Put at or below
-// the version in force, dropped).
+// the version in force, dropped). BackingErrors counts the Backing Puts
+// and Deletes that failed: acknowledged writes the backing store does
+// not reflect.
 type ServerStats struct {
-	Puts       uint64
-	StaleDrops uint64
-	Gets       uint64
-	GetHits    uint64
-	Deletes    uint64
-	Lists      uint64
+	Puts          uint64
+	StaleDrops    uint64
+	Gets          uint64
+	GetHits       uint64
+	Deletes       uint64
+	Lists         uint64
+	BackingErrors uint64
 }
 
 // Server is the state tier's authoritative side: per-device versioned
@@ -70,7 +74,7 @@ type Server struct {
 	ln  net.Listener
 	wg  sync.WaitGroup
 
-	puts, staleDrops, gets, getHits, deletes, lists atomic.Uint64
+	puts, staleDrops, gets, getHits, deletes, lists, backingErrors atomic.Uint64
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -138,12 +142,13 @@ func (s *Server) Len() int {
 // Stats returns an operation-count snapshot.
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
-		Puts:       s.puts.Load(),
-		StaleDrops: s.staleDrops.Load(),
-		Gets:       s.gets.Load(),
-		GetHits:    s.getHits.Load(),
-		Deletes:    s.deletes.Load(),
-		Lists:      s.lists.Load(),
+		Puts:          s.puts.Load(),
+		StaleDrops:    s.staleDrops.Load(),
+		Gets:          s.gets.Load(),
+		GetHits:       s.getHits.Load(),
+		Deletes:       s.deletes.Load(),
+		Lists:         s.lists.Load(),
+		BackingErrors: s.backingErrors.Load(),
 	}
 }
 
@@ -302,6 +307,7 @@ func (s *Server) applyDelete(req message) message {
 	e.blob = nil
 	if s.cfg.Backing != nil {
 		if err := s.cfg.Backing.Delete(req.device); err != nil {
+			s.backingErrors.Add(1)
 			s.cfg.ErrorLog.Printf("statestore: backing delete of device %s: %v", req.device, err)
 		}
 	}
@@ -332,6 +338,7 @@ func (s *Server) persist(device string, e *entry) {
 	}
 	enveloped := appendEnvelope(make([]byte, 0, len(e.blob)+16), e.ver, e.blob)
 	if err := s.cfg.Backing.Put(device, enveloped); err != nil {
+		s.backingErrors.Add(1)
 		s.cfg.ErrorLog.Printf("statestore: backing put of device %s: %v", device, err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"math/rand"
 	"net"
 	"testing"
@@ -426,6 +428,48 @@ func TestBackingAdoptsPlainStateDir(t *testing.T) {
 	got, ok := mustGet(t, c, "dev-legacy")
 	if !ok || string(got) != "legacy-state" {
 		t.Fatalf("adopted blob: %q ok=%v, want legacy-state", got, ok)
+	}
+}
+
+// failingBacking is a Backing store whose every Put and Delete fails.
+type failingBacking struct{ core.MemStateStore }
+
+var errBackingDown = errors.New("backing store down")
+
+func (*failingBacking) Put(string, []byte) error { return errBackingDown }
+func (*failingBacking) Delete(string) error      { return errBackingDown }
+
+// TestBackingFailureCounted pins the best-effort contract of a failing
+// Backing store: each failed Put and Delete is counted in
+// ServerStats.BackingErrors, while the in-memory apply and the reply to
+// the client still succeed.
+func TestBackingFailureCounted(t *testing.T) {
+	srv := startServer(t, ServerConfig{
+		Backing:  &failingBacking{},
+		ErrorLog: log.New(io.Discard, "", 0),
+	})
+	c := dialServer(t, srv, manualFlush)
+
+	mustPut(t, c, "dev-a", []byte("a-v1"))
+	mustPut(t, c, "dev-b", []byte("b-v1"))
+	if err := c.Flush(); err != nil {
+		t.Fatalf("flush over a failing backing store: %v", err)
+	}
+	if err := c.Delete("dev-a"); err != nil {
+		t.Fatalf("delete over a failing backing store: %v", err)
+	}
+
+	if got := srv.Stats().BackingErrors; got != 3 {
+		t.Errorf("BackingErrors = %d, want 3 (two puts, one delete)", got)
+	}
+	if got := srv.Len(); got != 1 {
+		t.Errorf("server holds %d devices, want 1", got)
+	}
+	if got, ok := mustGet(t, c, "dev-b"); !ok || string(got) != "b-v1" {
+		t.Errorf("dev-b: %q ok=%v, want b-v1", got, ok)
+	}
+	if _, ok := mustGet(t, c, "dev-a"); ok {
+		t.Error("dev-a still found after delete")
 	}
 }
 
