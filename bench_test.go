@@ -367,8 +367,9 @@ func monitorBenchSet(b *testing.B) *webtxprofile.ProfileSet {
 }
 
 // benchMonitorFeedBatch drives FeedBatch over a synthetic device
-// population with the given monitor configuration (transactions/op = 1).
-func benchMonitorFeedBatch(b *testing.B, devices int, cfg webtxprofile.MonitorConfig) {
+// population with the given monitor configuration, batchSize transactions
+// per call (transactions/op = 1).
+func benchMonitorFeedBatch(b *testing.B, devices, batchSize int, cfg webtxprofile.MonitorConfig) {
 	set := monitorBenchSet(b)
 	env := benchEnv(b)
 	mon, err := webtxprofile.NewMonitorWithConfig(set, 5, func(webtxprofile.Alert) {}, cfg)
@@ -382,7 +383,6 @@ func benchMonitorFeedBatch(b *testing.B, devices int, cfg webtxprofile.MonitorCo
 	}
 	base := env.Train.Transactions
 	start := base[len(base)-1].Timestamp.Add(time.Hour)
-	const batchSize = 512
 	batch := make([]webtxprofile.Transaction, 0, batchSize)
 	b.ResetTimer()
 	fed := 0
@@ -411,7 +411,7 @@ func benchMonitorFeedBatch(b *testing.B, devices int, cfg webtxprofile.MonitorCo
 func BenchmarkMonitorFeed(b *testing.B) {
 	for _, devices := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("devices=%d", devices), func(b *testing.B) {
-			benchMonitorFeedBatch(b, devices, webtxprofile.MonitorConfig{Shards: 64})
+			benchMonitorFeedBatch(b, devices, 512, webtxprofile.MonitorConfig{Shards: 64})
 		})
 	}
 }
@@ -483,18 +483,17 @@ func BenchmarkIngestToMonitor(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorFeedBatchWorkers isolates the FeedBatch worker pool:
-// the same batched stream processed by one worker (the previous
-// sequential-shard behavior) versus the default pool, which scores windows
-// completed within a batch concurrently across shards.
-func BenchmarkMonitorFeedBatchWorkers(b *testing.B) {
+// BenchmarkMonitorFeedBatchSizes shows FeedBatch's per-call cost: the
+// same stream over 10k devices fed one, 16 and 256 transactions per call.
+// The ingest collector hands the monitor whatever its queue holds, so
+// small batches are the common case under light load.
+func BenchmarkMonitorFeedBatchSizes(b *testing.B) {
 	const devices = 10_000
-	b.Run("workers=1", func(b *testing.B) {
-		benchMonitorFeedBatch(b, devices, webtxprofile.MonitorConfig{Shards: 64, BatchWorkers: 1})
-	})
-	b.Run("workers=max", func(b *testing.B) {
-		benchMonitorFeedBatch(b, devices, webtxprofile.MonitorConfig{Shards: 64})
-	})
+	for _, size := range []int{1, 16, 256} {
+		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
+			benchMonitorFeedBatch(b, devices, size, webtxprofile.MonitorConfig{Shards: 64})
+		})
+	}
 }
 
 // calibratedPopulationModel builds one synthetic RBF OC-SVM profile the
@@ -568,7 +567,8 @@ func populationModels(b testing.TB, u int) ([]*svm.Model, []sparse.Vector) {
 // index) against the fused population index (one shared postings pass plus
 // decision screening) in both precision modes. decisions/sec is the
 // reported capacity metric — the paper's identification loop runs exactly
-// this evaluation per completed window.
+// this evaluation per completed window. The fused legs run the engine the
+// CPU resolves to; internal/svm's BenchmarkFusedEngines compares engines.
 func BenchmarkPopulationDecisions(b *testing.B) {
 	for _, u := range []int{100, 1_000, 10_000} {
 		models, probes := populationModels(b, u)
@@ -595,19 +595,6 @@ func BenchmarkPopulationDecisions(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("fused-float32/models=%d", u), func(b *testing.B) {
 			sc := svm.NewFusedIndex(models, svm.FusedConfig{Float32: true}).NewScorer()
-			before := svm.ReadKernelStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sc.AcceptMask(probes[i%len(probes)])
-			}
-			rate(b)
-			st := svm.ReadKernelStats().Sub(before)
-			b.ReportMetric(float64(st.ScreenedModels)/float64(b.N), "screened/op")
-		})
-		// The portable engine on the same index layout: the A/B column for
-		// the vectorized kernels (identical decisions; see -score-portable).
-		b.Run(fmt.Sprintf("fused-portable/models=%d", u), func(b *testing.B) {
-			sc := svm.NewFusedIndex(models, svm.FusedConfig{Kernels: svm.KernelsPortable}).NewScorer()
 			before := svm.ReadKernelStats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

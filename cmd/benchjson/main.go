@@ -9,10 +9,13 @@
 //	go test -run xxx -bench . -benchmem ./... | benchjson -baseline BENCH_PREV.json > BENCH.json
 //	go test -run xxx -bench . -benchmem ./... | benchjson -baseline 'BENCH_*.json' > BENCH.json
 //
-// Every benchmark line becomes one record carrying the iteration count and
-// all reported metrics — the standard ns/op, B/op and allocs/op as well as
+// Every benchmark becomes one record carrying the iteration count and all
+// reported metrics — the standard ns/op, B/op and allocs/op as well as
 // custom b.ReportMetric units (e.g. kernelEvals/op). Context lines (goos,
-// goarch, cpu, pkg) annotate the records that follow them.
+// goarch, cpu, pkg) annotate the records that follow them. Output of
+// `go test -count N` repeats each benchmark's line N times; those lines
+// fold into one record holding the median of every metric, the ns/op
+// min and max, and the sample count.
 //
 // With -baseline, benchjson additionally prints a trajectory table to
 // stderr comparing this run's ns/op against the prior report, flagging
@@ -40,12 +43,17 @@ import (
 	"strings"
 )
 
-// Record is one benchmark result.
+// Record is one benchmark result: the median of its samples (the lines
+// `go test -count N` prints for it) for the iteration count and every
+// metric, plus the ns/op spread across the samples.
 type Record struct {
 	Pkg     string             `json:"pkg,omitempty"`
 	Name    string             `json:"name"`
 	Runs    int64              `json:"runs"`
 	Metrics map[string]float64 `json:"metrics"`
+	Samples int                `json:"samples,omitempty"`
+	NsMin   float64            `json:"ns_min,omitempty"`
+	NsMax   float64            `json:"ns_max,omitempty"`
 }
 
 // Report is the document benchjson emits.
@@ -106,7 +114,58 @@ func parse(r io.Reader) (Report, error) {
 			rep.Benchmarks = append(rep.Benchmarks, rec)
 		}
 	}
+	rep.Benchmarks = fold(rep.Benchmarks)
 	return rep, sc.Err()
+}
+
+// fold merges the samples of each benchmark (same package and name) into
+// one record, in order of first appearance: Runs and every metric become
+// the median over the samples that report them, NsMin/NsMax the ns/op
+// extremes, and Samples the sample count.
+func fold(samples []Record) []Record {
+	type key struct{ pkg, name string }
+	groups := map[key][]Record{}
+	var order []key
+	for _, rec := range samples {
+		k := key{rec.Pkg, rec.Name}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], rec)
+	}
+	out := make([]Record, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		runs := make([]float64, len(g))
+		values := map[string][]float64{}
+		for i, rec := range g {
+			runs[i] = float64(rec.Runs)
+			for unit, v := range rec.Metrics {
+				values[unit] = append(values[unit], v)
+			}
+		}
+		rec := Record{Pkg: k.pkg, Name: k.name, Runs: int64(median(runs)),
+			Metrics: make(map[string]float64, len(values)), Samples: len(g)}
+		for unit, vs := range values {
+			rec.Metrics[unit] = median(vs)
+		}
+		if ns := values["ns/op"]; len(ns) > 0 {
+			rec.NsMin, rec.NsMax = ns[0], ns[len(ns)-1] // median sorted them
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// median sorts vs in place and returns its median (the mean of the two
+// middle values for an even count).
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // regressionThreshold is the ns/op growth beyond which the trajectory

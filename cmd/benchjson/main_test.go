@@ -167,3 +167,43 @@ func TestParseEmpty(t *testing.T) {
 		t.Errorf("benchmarks = %+v, want none", rep.Benchmarks)
 	}
 }
+
+// TestParseFoldsCount checks `go test -count 5` output: the five lines of
+// one benchmark fold into one record holding the median of each metric,
+// the ns/op extremes and the sample count, while a benchmark printed once
+// keeps its single sample.
+func TestParseFoldsCount(t *testing.T) {
+	const repeated = `pkg: webtxprofile/internal/svm
+BenchmarkFusedEngines/packed/float64/models=100-2   	 300	  21000 ns/op	 4761904 decisions/sec
+BenchmarkFusedEngines/packed/float64/models=100-2   	 300	  19000 ns/op	 5263157 decisions/sec
+BenchmarkFusedEngines/packed/float64/models=100-2   	 300	  25000 ns/op	 4000000 decisions/sec
+BenchmarkFusedEngines/packed/float64/models=100-2   	 300	  20000 ns/op	 5000000 decisions/sec
+BenchmarkFusedEngines/packed/float64/models=100-2   	 300	  18000 ns/op	 5555555 decisions/sec
+BenchmarkOnce-2   	 10	  500 ns/op
+PASS
+`
+	rep, err := parse(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("parsed %d records, want 2 (five samples folded into one): %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	r := rep.Benchmarks[0]
+	if r.Name != "BenchmarkFusedEngines/packed/float64/models=100-2" || r.Pkg != "webtxprofile/internal/svm" {
+		t.Errorf("folded record = %+v", r)
+	}
+	if r.Samples != 5 || r.Runs != 300 {
+		t.Errorf("samples/runs = %d/%d, want 5/300", r.Samples, r.Runs)
+	}
+	if r.Metrics["ns/op"] != 20000 || r.Metrics["decisions/sec"] != 5000000 {
+		t.Errorf("medians = %+v, want ns/op 20000, decisions/sec 5000000", r.Metrics)
+	}
+	if r.NsMin != 18000 || r.NsMax != 25000 {
+		t.Errorf("ns/op spread = [%v, %v], want [18000, 25000]", r.NsMin, r.NsMax)
+	}
+	once := rep.Benchmarks[1]
+	if once.Samples != 1 || once.Metrics["ns/op"] != 500 || once.NsMin != 500 || once.NsMax != 500 {
+		t.Errorf("single-sample record = %+v", once)
+	}
+}

@@ -49,15 +49,14 @@
 //     svm.Float32DecisionBound; the default stays exact float64, whose
 //     accept/reject decisions are bit-identical to the per-model engine.
 //   - The fused postings are laid out cache-blocked in fixed-width
-//     zero-padded lanes, consumed by interchangeable kernel engines:
-//     packed AVX-512 assembly where the CPU supports it, straight-line Go
-//     lane kernels elsewhere, and portable reference loops on demand
-//     (MonitorConfig.ScoringKernels, profilerd -score-portable). Engine
-//     choice is pure mechanism — decisions are bit-identical across all
-//     of them, in float64 and float32 alike, a property pinned by a
-//     differential fuzz target and a monitor-level alert-equivalence
-//     suite. Daemons log the resolved engine and the index footprint
-//     (svm.FusedIndex.Footprint) at startup.
+//     zero-padded lanes, consumed by one of two kernel engines that the
+//     CPU alone picks: packed AVX-512 assembly where the CPU supports it,
+//     portable per-posting Go loops elsewhere. Engine choice is pure
+//     mechanism — decisions are bit-identical across both, in float64 and
+//     float32 alike, a property pinned by a differential fuzz target and
+//     a monitor-level alert-equivalence suite. Daemons log the resolved
+//     engine and the index footprint (svm.FusedIndex.Footprint) at
+//     startup.
 //   - Per-user grid searches share one Gram matrix across all ν/C cells of
 //     a (user, kernel) row — the kernel matrix depends only on the kernel
 //     and the training windows — cutting the search's kernel evaluations
@@ -65,9 +64,9 @@
 //   - The Monitor lock-stripes devices across configurable shards
 //     (MonitorConfig.Shards); each device hashes to one shard, preserving
 //     per-device event order while devices on different shards feed in
-//     parallel (Feed or the batched FeedBatch, whose bounded worker pool —
-//     MonitorConfig.BatchWorkers — scores the windows completed within a
-//     batch concurrently across shards).
+//     parallel from concurrent callers (Feed, or the batched FeedBatch,
+//     which takes each busy shard's lock once per batch and feeds the
+//     shards in order on the calling goroutine).
 //   - Alerts are delivered in enqueue order from a dedicated goroutine
 //     rather than under a lock; Flush waits for delivery, Close stops the
 //     engine.

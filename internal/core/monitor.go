@@ -87,15 +87,6 @@ type MonitorConfig struct {
 	// (default 256). Feeding blocks when the callback falls this far
 	// behind.
 	AlertBuffer int
-	// BatchWorkers bounds the worker pool FeedBatch uses to process the
-	// batch's shards concurrently, so windows completed within one batch
-	// are scored in parallel (default GOMAXPROCS, further capped at the
-	// number of shards holding work; 1 processes shards sequentially).
-	// Each shard's transactions are still handled in order under the
-	// shard lock, so per-device event and alert order is identical to
-	// the sequential setting — only the interleaving of alerts *across*
-	// devices varies.
-	BatchWorkers int
 	// Spill, when non-nil, makes idle eviction durable instead of lossy:
 	// an evicted device's identification state (pending window buffer,
 	// consecutive-accept streaks, confirmed identity) is serialized into
@@ -133,13 +124,6 @@ type MonitorConfig struct {
 	// (the default, exact float64) when byte-identical equivalence
 	// matters more than memory.
 	Float32Scoring bool
-	// ScoringKernels selects the fused index's kernel implementations:
-	// svm.KernelsAuto (the zero value) resolves to the fastest engine the
-	// CPU supports, svm.KernelsPortable forces the per-posting reference
-	// loops. Every engine produces bit-identical float64 decisions and
-	// identical accept masks, so this is an escape hatch and an A/B
-	// instrument, not a semantics knob.
-	ScoringKernels svm.KernelMode
 
 	// StagedTTL reclaims import stagings (StageImport) whose commit never
 	// arrived, measured in stream time like IdleTTL. Only import stagings
@@ -163,9 +147,6 @@ func (c MonitorConfig) withDefaults() MonitorConfig {
 	}
 	if c.AlertBuffer <= 0 {
 		c.AlertBuffer = 256
-	}
-	if c.BatchWorkers <= 0 {
-		c.BatchWorkers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -341,10 +322,7 @@ func NewMonitorWithConfig(set *ProfileSet, consecutiveK int, alerts func(Alert),
 	}
 	var ix *svm.FusedIndex
 	if !cfg.referenceScoring {
-		ix = svm.NewFusedIndex(models, svm.FusedConfig{
-			Float32: cfg.Float32Scoring,
-			Kernels: cfg.ScoringKernels,
-		})
+		ix = svm.NewFusedIndex(models, svm.FusedConfig{Float32: cfg.Float32Scoring})
 		m.ix = ix
 	}
 	for i := range m.shards {
@@ -365,10 +343,10 @@ func NewMonitorWithConfig(set *ProfileSet, consecutiveK int, alerts func(Alert),
 	return m, nil
 }
 
-// ScoringEngine names the fused index's resolved kernel engine (e.g.
-// "block8/float64+avx512 (cpu: ...)"), or "per-model" under the reference
-// scoring seam. Daemons log it at startup so deployments can tell which
-// engine a host resolved to.
+// ScoringEngine names the kernel engine the CPU resolved the fused index
+// to (e.g. "block8/float64+avx512 (cpu: ...)" or "portable/float64"), or
+// "per-model" under the reference scoring seam. Daemons log it at startup
+// so deployments can tell which engine a host runs.
 func (m *Monitor) ScoringEngine() string {
 	if m.ix == nil {
 		return "per-model"
@@ -423,7 +401,6 @@ type batchScratch struct {
 	order   []int32
 	starts  []int
 	fill    []int
-	work    []int
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -446,12 +423,12 @@ func (sc *batchScratch) grab(n, shards int) (shardOf, order []int32, starts, fil
 
 // FeedBatch feeds a slice of transactions (non-decreasing timestamps per
 // device, as with Feed), taking each shard lock once per batch instead of
-// once per transaction and processing the batch's shards on a bounded
-// worker pool (MonitorConfig.BatchWorkers), so windows completed within
-// one batch are scored concurrently. Transactions for the same device are
-// processed in slice order, and each device's alerts are enqueued in that
-// device's event order regardless of the worker count — only the
-// interleaving of alerts across devices depends on scheduling.
+// once per transaction: the batch is partitioned by shard, and the busy
+// shards are fed one after another, in shard order, on the calling
+// goroutine. Transactions for the same device are processed in slice
+// order, so each device's alerts are enqueued in that device's event
+// order. Shards stay lock-striped, so concurrent FeedBatch and Feed
+// callers still run in parallel on different shards.
 // Per-transaction errors (e.g. out-of-order timestamps) are collected —
 // annotated with the offending device, capped so a fully bad batch cannot
 // produce an unbounded error — and joined; the rest of the batch still
@@ -464,12 +441,8 @@ func (m *Monitor) FeedBatch(txs []weblog.Transaction) error {
 	// Transaction structs themselves, and the index arrays come from a
 	// pool so a warm feed loop allocates nothing here.
 	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
 	shardOf, order, starts, fill := sc.grab(len(txs), len(m.shards))
-	work := sc.work[:0]
-	defer func() {
-		sc.work = work
-		batchScratchPool.Put(sc)
-	}()
 	for i := range txs {
 		s := m.shardIndex(txs[i].SourceIP)
 		shardOf[i] = int32(s)
@@ -484,77 +457,30 @@ func (m *Monitor) FeedBatch(txs []weblog.Transaction) error {
 		order[fill[s]] = int32(i)
 		fill[s]++
 	}
-	for si := range m.shards {
-		if starts[si] < starts[si+1] {
-			work = append(work, si)
-		}
-	}
 
 	var errs []error
 	suppressed := 0
-	if workers := min(m.cfg.BatchWorkers, len(work)); workers <= 1 {
-		for _, si := range work {
-			es, supp := m.feedShard(si, order[starts[si]:starts[si+1]], txs)
-			errs = append(errs, es...)
-			suppressed += supp
+	for si, sh := range m.shards {
+		if starts[si] == starts[si+1] {
+			continue
 		}
-	} else {
-		// Each busy shard is handled whole by one worker; merging the
-		// per-shard error lists afterwards (in shard order) keeps the
-		// reported errors deterministic for a given batch.
-		perShard := make([][]error, len(m.shards))
-		perSupp := make([]int, len(m.shards))
-		shardCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for si := range shardCh {
-					perShard[si], perSupp[si] = m.feedShard(si, order[starts[si]:starts[si+1]], txs)
+		sh.mu.Lock()
+		for _, ti := range order[starts[si]:starts[si+1]] {
+			if err := m.feedLocked(sh, txs[ti]); err != nil {
+				if len(errs) < feedBatchMaxErrs {
+					errs = append(errs, fmt.Errorf("device %s: %w", txs[ti].SourceIP, err))
+				} else {
+					suppressed++
 				}
-			}()
+			}
 		}
-		for _, si := range work {
-			shardCh <- si
-		}
-		close(shardCh)
-		wg.Wait()
-		for _, si := range work {
-			errs = append(errs, perShard[si]...)
-			suppressed += perSupp[si]
-		}
+		sh.mu.Unlock()
 	}
 	m.maybeSweep()
-	if len(errs) > feedBatchMaxErrs {
-		suppressed += len(errs) - feedBatchMaxErrs
-		errs = errs[:feedBatchMaxErrs]
-	}
 	if suppressed > 0 {
 		errs = append(errs, fmt.Errorf("core: %d more feed errors in batch", suppressed))
 	}
 	return errors.Join(errs...)
-}
-
-// feedShard feeds one shard's slice of a partitioned batch under its lock,
-// returning up to feedBatchMaxErrs annotated errors plus the count of
-// errors beyond the cap.
-func (m *Monitor) feedShard(si int, order []int32, txs []weblog.Transaction) ([]error, int) {
-	sh := m.shards[si]
-	var errs []error
-	suppressed := 0
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, ti := range order {
-		if err := m.feedLocked(sh, txs[ti]); err != nil {
-			if len(errs) < feedBatchMaxErrs {
-				errs = append(errs, fmt.Errorf("device %s: %w", txs[ti].SourceIP, err))
-			} else {
-				suppressed++
-			}
-		}
-	}
-	return errs, suppressed
 }
 
 // feedLocked runs under sh.mu.

@@ -231,43 +231,6 @@ func TestMonitorFeedBatchConcurrent(t *testing.T) {
 	comparePerDevice(t, want, col.got)
 }
 
-// TestMonitorFeedBatchWorkersMatchSequential is the parallel-batch
-// equivalence check: the per-device alert sequences produced with the
-// FeedBatch worker pool (several pool sizes, run under -race) must be
-// byte-identical to the BatchWorkers=1 sequential scorer's, which in turn
-// must match the single-goroutine reference.
-func TestMonitorFeedBatchWorkersMatchSequential(t *testing.T) {
-	set, testDS := sharedSet(t)
-	txs, _ := deviceStream(testDS, 9, 6000)
-	const k, batchSize = 2, 128
-	want := referenceAlerts(t, set, txs, k)
-
-	run := func(workers int) map[string][]string {
-		col := newAlertCollector()
-		mon, err := NewMonitorWithConfig(set, k, col.callback,
-			MonitorConfig{Shards: 8, BatchWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rest := txs; len(rest) > 0; {
-			n := min(batchSize, len(rest))
-			if err := mon.FeedBatch(rest[:n]); err != nil {
-				t.Fatalf("FeedBatch(workers=%d): %v", workers, err)
-			}
-			rest = rest[n:]
-		}
-		mon.Flush()
-		mon.Close()
-		return col.got
-	}
-
-	sequential := run(1)
-	comparePerDevice(t, want, sequential)
-	for _, workers := range []int{2, 4, 8} {
-		comparePerDevice(t, sequential, run(workers))
-	}
-}
-
 // TestMonitorFeedBatchErrors checks that a bad transaction inside a batch
 // surfaces as an error without poisoning the rest of the batch.
 func TestMonitorFeedBatchErrors(t *testing.T) {

@@ -499,7 +499,7 @@ func TestMonitorCheckpointRestoreMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := MonitorConfig{Shards: 8, BatchWorkers: 4, Spill: store}
+		cfg := MonitorConfig{Shards: 8, Spill: store}
 		split := (1 + r.Intn(len(txs)/batchSize-1)) * batchSize
 
 		col := newAlertCollector()
@@ -561,7 +561,7 @@ func TestMonitorExportImportShards(t *testing.T) {
 	split := len(txs) / 2
 
 	col := newAlertCollector()
-	mon1, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 8, BatchWorkers: 4})
+	mon1, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func TestMonitorExportImportShards(t *testing.T) {
 	}
 
 	// The receiving monitor has a different shard layout on purpose.
-	mon2, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 5, BatchWorkers: 4})
+	mon2, err := NewMonitorWithConfig(set, k, col.callback, MonitorConfig{Shards: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

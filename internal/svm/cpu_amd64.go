@@ -5,7 +5,7 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // detectCPUFeatures probes the SIMD capabilities relevant to the lane
-// kernels' shapes (8×float64 is one AVX-512 register or two AVX2 ones).
+// layout's shapes (8×float64 is one AVX-512 register or two AVX2 ones).
 // Vector-register features are only reported when the OS has enabled the
 // corresponding state saving (OSXSAVE + XCR0), per the Intel manual's
 // detection protocol. Sorted, stable output for logs.

@@ -29,24 +29,6 @@ const screenSlack = 1e-9
 // screen loses no measurable power.
 const critSlack = 1e-12
 
-// KernelMode selects which scoring kernels a FusedIndex runs.
-type KernelMode uint8
-
-const (
-	// KernelsAuto resolves to the lane-blocked kernels (block8/block16):
-	// straight-line unrolled multiply-add over full lanes. This is the
-	// default and is portable Go — the lane shapes exist so the work maps
-	// 1:1 onto packed FMA registers (and a future build-tagged asm kernel
-	// can consume the same layout directly).
-	KernelsAuto KernelMode = iota
-	// KernelsPortable runs simple per-posting reference loops over the
-	// same blocked layout. Float64 results are bit-identical to the lane
-	// kernels (per-accumulator term order is the same); it exists as the
-	// plain-code baseline for differential testing, benchmarking the lane
-	// shapes' win, and as an escape hatch.
-	KernelsPortable
-)
-
 // FusedConfig selects how a FusedIndex stores and accumulates postings.
 type FusedConfig struct {
 	// Float32 stores the postings values in float32 and runs the
@@ -58,18 +40,13 @@ type FusedConfig struct {
 	// differ for windows within that bound of a model's boundary. The
 	// zero value — exact float64 — is the default everywhere.
 	Float32 bool
-
-	// Kernels picks the scoring kernels (lane-blocked vs portable); both
-	// run over the same blocked postings layout and produce bit-identical
-	// accumulators. The zero value (KernelsAuto) is the lane kernels.
-	Kernels KernelMode
 }
 
 // Lane widths of the blocked postings layout: one lane of values is one
 // 64-byte cache line (8×float64 or 16×float32), and every (block, column)
-// postings group is zero-padded to a whole number of lanes so the
-// accumulate kernels are pure straight-line lane loops with no remainder
-// handling.
+// postings group is zero-padded to a whole number of lanes so the packed
+// kernels and the clear are pure straight-line lane loops with no
+// remainder handling.
 const (
 	laneWidth64 = 8
 	laneWidth32 = 16
@@ -253,19 +230,18 @@ func (pb *blockedPostings) bytes() int64 {
 // A FusedIndex is immutable after build and safe for concurrent readers:
 // Monitor shards share one index and attach per-shard Scorer scratch.
 type FusedIndex struct {
-	models   []*Model
-	cfg      FusedConfig
-	portable bool
-	vector   bool // KernelsAuto resolved to the AVX-512 packed kernels
-	kind     []uint8
+	models []*Model
+	cfg    FusedConfig
+	vector bool // the CPU runs the AVX-512 packed kernels
+	kind   []uint8
 
 	lin blockedPostings // linear-weight postings
 	sv  blockedPostings // support-vector postings
 
 	// Column → owning models with at least one SV posting in that column
 	// (deduped, ascending): ownIDs[ownStarts[c]:ownStarts[c+1]]. This is
-	// the touch-marking pass, decoupled from accumulation so the lane
-	// kernels stay pure multiply-add.
+	// the touch-marking pass, decoupled from accumulation so the
+	// accumulate kernels stay pure multiply-add.
 	ownStarts []int32
 	ownIDs    []int32
 
@@ -274,9 +250,10 @@ type FusedIndex struct {
 	svBase []int32
 	// Per global ordinal: dual coefficient, ‖sv‖², and — for RBF models —
 	// γ·‖sv‖²/h, the precomputed table-index contribution of the support
-	// vector to the screening bound (see fusedRBFSumBound64: folding γ and
-	// the table scale into the operand array at build time leaves one fused
-	// multiply-add per support vector in the bound's inner loop).
+	// vector to the screening bound (see fusedRBFSumBoundPortable: folding
+	// γ and the table scale into the operand array at build time leaves
+	// one fused multiply-add per support vector in the bound's inner
+	// loop).
 	coef     []float64
 	svNorms  []float64
 	snGammaH []float64
@@ -325,39 +302,30 @@ func (f IndexFootprint) String() string {
 // Footprint returns the index's memory accounting.
 func (ix *FusedIndex) Footprint() IndexFootprint { return ix.footprint }
 
-// Engine describes the resolved scoring kernels, e.g.
-// "block8/float64+avx512 (cpu: avx2,avx512f,fma,sse2)" or
-// "portable/float32".
+// Engine names the scoring kernels the CPU resolved to, followed by the
+// detected CPU features, e.g.
+// "block8/float64+avx512 (cpu: avx,avx2,avx512f,fma,sse2)" or
+// "portable/float32 (cpu: avx,avx2,fma,sse2)".
 func (ix *FusedIndex) Engine() string {
-	var b strings.Builder
+	name := "portable/float64"
 	switch {
-	case ix.portable:
-		b.WriteString("portable")
+	case ix.vector && ix.cfg.Float32:
+		name = "block16/float32+avx512"
+	case ix.vector:
+		name = "block8/float64+avx512"
 	case ix.cfg.Float32:
-		b.WriteString("block16")
-	default:
-		b.WriteString("block8")
+		name = "portable/float32"
 	}
-	if ix.cfg.Float32 {
-		b.WriteString("/float32")
-	} else {
-		b.WriteString("/float64")
+	if len(cpuFeatureList) > 0 {
+		name += " (cpu: " + strings.Join(cpuFeatureList, ",") + ")"
 	}
-	if ix.vector {
-		b.WriteString("+avx512")
-	}
-	if !ix.portable && len(cpuFeatureList) > 0 {
-		b.WriteString(" (cpu: ")
-		b.WriteString(strings.Join(cpuFeatureList, ","))
-		b.WriteString(")")
-	}
-	return b.String()
+	return name
 }
 
 // cpuFeatureList holds the detected SIMD capabilities of this CPU
 // (detectCPUFeatures; empty off amd64). It is both observability and the
-// dispatch input: KernelsAuto resolves to the AVX-512 packed kernels when
-// "avx512f" is present, and to the portable-Go lane kernels otherwise.
+// one engine switch: a FusedIndex runs the AVX-512 packed kernels when
+// "avx512f" is present, and the portable Go kernels otherwise.
 var cpuFeatureList = detectCPUFeatures()
 
 // NewFusedIndex builds the fused population index over models. The models
@@ -368,8 +336,7 @@ func NewFusedIndex(models []*Model, cfg FusedConfig) *FusedIndex {
 	ix := &FusedIndex{
 		models:   models,
 		cfg:      cfg,
-		portable: cfg.Kernels == KernelsPortable,
-		vector:   cfg.Kernels == KernelsAuto && !disablePackedKernels && asmKernelsSupported(),
+		vector:   !disablePackedKernels && asmKernelsSupported(),
 		kind:     make([]uint8, n),
 		svBase:   make([]int32, n+1),
 		sumAlpha: make([]float64, n),
@@ -596,8 +563,8 @@ func (ix *FusedIndex) numSVs() int { return int(ix.svBase[len(ix.models)]) }
 
 // markOwners stamps every model owning at least one support-vector posting
 // in one of x's columns with the scorer's epoch — the same touch condition
-// the accumulate pass used to establish inline, decoupled so the lane
-// kernels stay pure multiply-add. Columns carry deduped owner lists, so
+// the accumulate pass used to establish inline, decoupled so the
+// accumulate kernels stay pure multiply-add. Columns carry deduped owner lists, so
 // this visits ~postings/nnz-per-(model,column) entries, not every posting.
 func (ix *FusedIndex) markOwners(x sparse.Vector, marks []uint64, epoch uint64) {
 	lim := int32(len(ix.ownStarts)) - 1
@@ -742,18 +709,14 @@ func (s *Scorer) screenSV(mi int, touched bool, nx, normX float64) bool {
 		b0, slope := gh*nx, 2*gh
 		var sb float64
 		switch {
-		case ix.cfg.Float32 && s.portable:
-			sb = fusedRBFSumBoundPortable(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots32[lo:hi], b0, slope)
 		case ix.cfg.Float32 && s.vector:
 			sb = fusedRBFSumBoundVec32(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots32[lo:hi], b0, slope)
 		case ix.cfg.Float32:
-			sb = fusedRBFSumBound32(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots32[lo:hi], b0, slope)
-		case s.portable:
-			sb = fusedRBFSumBoundPortable(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots[lo:hi], b0, slope)
+			sb = fusedRBFSumBoundPortable(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots32[lo:hi], b0, slope)
 		case s.vector:
 			sb = fusedRBFSumBoundVec64(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots[lo:hi], b0, slope)
 		default:
-			sb = fusedRBFSumBound64(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots[lo:hi], b0, slope)
+			sb = fusedRBFSumBoundPortable(ix.coef[lo:hi], ix.snGammaH[lo:hi], s.dots[lo:hi], b0, slope)
 		}
 		return sb < ix.sCrit[mi]
 	}

@@ -232,10 +232,10 @@ func TestFusedFloat32WithinBound(t *testing.T) {
 	}
 }
 
-// forceLaneKernels runs f with KernelsAuto resolving to the Go lane
-// kernels even where the packed AVX-512 engine is available, restoring
-// the real resolution afterwards.
-func forceLaneKernels(t *testing.T, f func()) {
+// forcePortableKernels runs f with NewFusedIndex picking the portable Go
+// kernels even where the packed AVX-512 engine is available, restoring the
+// CPU's resolution afterwards.
+func forcePortableKernels(t *testing.T, f func()) {
 	t.Helper()
 	prev := disablePackedKernels
 	disablePackedKernels = true
@@ -243,46 +243,41 @@ func forceLaneKernels(t *testing.T, f func()) {
 	f()
 }
 
-// TestFusedEnginesBitIdentical pins the engine-equivalence contract all
-// three kernel sets share: for the same models and probes, the packed
-// AVX-512 engine (where available), the Go lane engine, and the portable
-// per-posting engine produce bit-identical decisions — float64 AND
-// float32 — and identical accept masks. The layout partitions postings
-// into (block, column) groups visited in one fixed order, so every engine
-// feeds each accumulator the same terms in the same order with the same
-// per-term rounding (the packed kernels deliberately split the multiply
-// and the add; see fusedasm_amd64.go).
+// TestFusedEnginesBitIdentical pins the engine-equivalence contract both
+// kernel sets share: for the same models and probes, the packed AVX-512
+// engine (where available) and the portable per-posting engine produce
+// bit-identical decisions — float64 AND float32 — and identical accept
+// masks. The layout partitions postings into (block, column) groups
+// visited in one fixed order, so both engines feed each accumulator the
+// same terms in the same order with the same per-term rounding (the
+// packed kernels deliberately split the multiply and the add; see
+// fusedasm_amd64.go).
 func TestFusedEnginesBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(80))
 	models := fusedPopulation(t, r, 2, 400)
 	for _, f32 := range []bool{false, true} {
 		cfg := FusedConfig{Float32: f32}
 		auto := NewFusedIndex(models, cfg).NewScorer()
-		var lanes *Scorer
-		forceLaneKernels(t, func() {
-			lanes = NewFusedIndex(models, cfg).NewScorer()
+		var portable *Scorer
+		forcePortableKernels(t, func() {
+			portable = NewFusedIndex(models, cfg).NewScorer()
 		})
-		cfg.Kernels = KernelsPortable
-		portable := NewFusedIndex(models, cfg).NewScorer()
 		for trial := 0; trial < 40; trial++ {
 			x := randomSparse(r, 450, 3+r.Intn(25))
 			dAuto := append([]float64(nil), auto.Decisions(x)...)
-			dLanes := append([]float64(nil), lanes.Decisions(x)...)
 			dPort := portable.Decisions(x)
 			for i := range models {
-				if math.Float64bits(dAuto[i]) != math.Float64bits(dPort[i]) ||
-					math.Float64bits(dLanes[i]) != math.Float64bits(dPort[i]) {
-					t.Fatalf("float32=%v trial %d model %d: engines disagree: auto %x lanes %x portable %x",
-						f32, trial, i, math.Float64bits(dAuto[i]), math.Float64bits(dLanes[i]), math.Float64bits(dPort[i]))
+				if math.Float64bits(dAuto[i]) != math.Float64bits(dPort[i]) {
+					t.Fatalf("float32=%v trial %d model %d: engines disagree: auto %x portable %x",
+						f32, trial, i, math.Float64bits(dAuto[i]), math.Float64bits(dPort[i]))
 				}
 			}
 			mAuto := append([]bool(nil), auto.AcceptMask(x)...)
-			mLanes := append([]bool(nil), lanes.AcceptMask(x)...)
 			mPort := portable.AcceptMask(x)
 			for i := range models {
-				if mAuto[i] != mPort[i] || mLanes[i] != mPort[i] {
-					t.Fatalf("float32=%v trial %d model %d: masks disagree: auto %v lanes %v portable %v",
-						f32, trial, i, mAuto[i], mLanes[i], mPort[i])
+				if mAuto[i] != mPort[i] {
+					t.Fatalf("float32=%v trial %d model %d: masks disagree: auto %v portable %v",
+						f32, trial, i, mAuto[i], mPort[i])
 				}
 			}
 		}
@@ -339,19 +334,13 @@ func TestFusedScreeningCounters(t *testing.T) {
 func TestFusedScorerAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	models := fusedPopulation(t, r, 2, 300)
-	cases := map[string]FusedConfig{
-		"float64":          {},
-		"float32":          {Float32: true},
-		"float64-portable": {Kernels: KernelsPortable},
-		"float32-portable": {Float32: true, Kernels: KernelsPortable},
+	scorers := map[string]*Scorer{
+		"float64": NewFusedIndex(models, FusedConfig{}).NewScorer(),
+		"float32": NewFusedIndex(models, FusedConfig{Float32: true}).NewScorer(),
 	}
-	scorers := map[string]*Scorer{}
-	for name, cfg := range cases {
-		scorers[name] = NewFusedIndex(models, cfg).NewScorer()
-	}
-	forceLaneKernels(t, func() {
-		scorers["float64-lanes"] = NewFusedIndex(models, FusedConfig{}).NewScorer()
-		scorers["float32-lanes"] = NewFusedIndex(models, FusedConfig{Float32: true}).NewScorer()
+	forcePortableKernels(t, func() {
+		scorers["float64-portable"] = NewFusedIndex(models, FusedConfig{}).NewScorer()
+		scorers["float32-portable"] = NewFusedIndex(models, FusedConfig{Float32: true}).NewScorer()
 	})
 	probes := make([]sparse.Vector, 8)
 	for i := range probes {

@@ -3,8 +3,8 @@ package svm
 // The AVX-512 accumulate kernels: one call processes one lane-padded
 // (block, column) postings group, gathering the group's accumulator cells,
 // multiplying the value lane by the window weight, and scattering the sums
-// back — the straight-line packed form of the Go lane kernels, consuming
-// the exact same layout.
+// back — the packed form of the portable Go loop, consuming the exact
+// same layout.
 //
 // Two invariants of the blocked layout make the scatter safe and the
 // result bit-identical to the Go kernels:
@@ -17,7 +17,7 @@ package svm
 //     Go's `acc[o] += w * v` rounds the product and the sum separately,
 //     and a fused multiply-add would differ in the last bit. Each
 //     accumulator still receives its terms in group order, so float64
-//     (and float32) results are bit-identical across all three engines.
+//     (and float32) results are bit-identical across both engines.
 //
 // n must be a multiple of the lane width (8 for float64, 16 for float32);
 // buildBlocked pads every group to guarantee it.
@@ -69,10 +69,10 @@ func fusedRBFSumBoundVec32(coef, snGH []float64, dots []float32, b0, slope float
 	return sum
 }
 
-// disablePackedKernels forces KernelsAuto to resolve to the Go lane
-// kernels even where AVX-512 is available. Tests flip it to compare the
-// packed and lane engines on the same machine; it must be set before any
-// NewFusedIndex call whose scorers it should affect.
+// disablePackedKernels makes NewFusedIndex pick the portable kernels even
+// where AVX-512 is available. Tests and benchmarks flip it to compare the
+// packed and portable engines on the same machine; it must be set before
+// any NewFusedIndex call whose scorers it should affect.
 var disablePackedKernels bool
 
 // asmKernelsSupported reports whether the packed kernels can run: they

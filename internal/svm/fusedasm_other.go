@@ -3,8 +3,8 @@
 package svm
 
 // Off amd64 the packed kernels never run: asmKernelsSupported is false,
-// so KernelsAuto resolves to the portable Go lane kernels and these stubs
-// are unreachable.
+// so every FusedIndex runs the portable Go kernels and these stubs are
+// unreachable.
 
 // disablePackedKernels mirrors the amd64 test hook; it has no effect here
 // because asmKernelsSupported is already false.

@@ -43,11 +43,11 @@ func fuzzVsScalarSeeds() [][]byte {
 }
 
 // FuzzFusedVsScalar is the differential fuzz target for the scoring
-// engines: for an arbitrary window over a mixed population, every engine
-// (packed AVX-512 where available, Go lanes, portable) must produce
-// float64 decisions bit-identical to scoring each model alone, identical
-// accept masks, and float32 decisions that agree bit-for-bit across
-// engines while staying inside Float32DecisionBound of the exact values.
+// engines: for an arbitrary window over a mixed population, both engines
+// (packed AVX-512 where available, and portable) must produce float64
+// decisions bit-identical to scoring each model alone, identical accept
+// masks, and float32 decisions that agree bit-for-bit across engines
+// while staying inside Float32DecisionBound of the exact values.
 func FuzzFusedVsScalar(f *testing.F) {
 	for _, seed := range fuzzVsScalarSeeds() {
 		f.Add(seed)
@@ -65,47 +65,40 @@ func FuzzFusedVsScalar(f *testing.F) {
 	}
 	auto64 := NewFusedIndex(models, FusedConfig{}).NewScorer()
 	auto32 := NewFusedIndex(models, FusedConfig{Float32: true}).NewScorer()
-	port64 := NewFusedIndex(models, FusedConfig{Kernels: KernelsPortable}).NewScorer()
-	port32 := NewFusedIndex(models, FusedConfig{Float32: true, Kernels: KernelsPortable}).NewScorer()
 	prev := disablePackedKernels
 	disablePackedKernels = true
-	lanes64 := NewFusedIndex(models, FusedConfig{}).NewScorer()
-	lanes32 := NewFusedIndex(models, FusedConfig{Float32: true}).NewScorer()
+	port64 := NewFusedIndex(models, FusedConfig{}).NewScorer()
+	port32 := NewFusedIndex(models, FusedConfig{Float32: true}).NewScorer()
 	disablePackedKernels = prev
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		x := fuzzProbe(raw)
 		d64 := append([]float64(nil), auto64.Decisions(x)...)
-		dl64 := append([]float64(nil), lanes64.Decisions(x)...)
 		dp64 := append([]float64(nil), port64.Decisions(x)...)
 		for i, m := range models {
 			want := m.Decision(x)
 			if math.Float64bits(d64[i]) != math.Float64bits(want) ||
-				math.Float64bits(dl64[i]) != math.Float64bits(want) ||
 				math.Float64bits(dp64[i]) != math.Float64bits(want) {
-				t.Fatalf("model %d (%v/%v): float64 engines diverge from solo %x: auto %x lanes %x portable %x",
+				t.Fatalf("model %d (%v/%v): float64 engines diverge from solo %x: auto %x portable %x",
 					i, m.Algo, m.Kernel, math.Float64bits(want),
-					math.Float64bits(d64[i]), math.Float64bits(dl64[i]), math.Float64bits(dp64[i]))
+					math.Float64bits(d64[i]), math.Float64bits(dp64[i]))
 			}
 		}
 		m64 := append([]bool(nil), auto64.AcceptMask(x)...)
-		ml64 := append([]bool(nil), lanes64.AcceptMask(x)...)
 		mp64 := append([]bool(nil), port64.AcceptMask(x)...)
 		for i, m := range models {
 			want := m.Accept(x)
-			if m64[i] != want || ml64[i] != want || mp64[i] != want {
-				t.Fatalf("model %d (%v/%v): masks diverge from solo %v: auto %v lanes %v portable %v",
-					i, m.Algo, m.Kernel, want, m64[i], ml64[i], mp64[i])
+			if m64[i] != want || mp64[i] != want {
+				t.Fatalf("model %d (%v/%v): masks diverge from solo %v: auto %v portable %v",
+					i, m.Algo, m.Kernel, want, m64[i], mp64[i])
 			}
 		}
 		d32 := append([]float64(nil), auto32.Decisions(x)...)
-		dl32 := append([]float64(nil), lanes32.Decisions(x)...)
 		dp32 := append([]float64(nil), port32.Decisions(x)...)
 		for i, m := range models {
-			if math.Float64bits(d32[i]) != math.Float64bits(dp32[i]) ||
-				math.Float64bits(dl32[i]) != math.Float64bits(dp32[i]) {
-				t.Fatalf("model %d (%v/%v): float32 engines disagree: auto %x lanes %x portable %x",
-					i, m.Algo, m.Kernel, math.Float64bits(d32[i]), math.Float64bits(dl32[i]), math.Float64bits(dp32[i]))
+			if math.Float64bits(d32[i]) != math.Float64bits(dp32[i]) {
+				t.Fatalf("model %d (%v/%v): float32 engines disagree: auto %x portable %x",
+					i, m.Algo, m.Kernel, math.Float64bits(d32[i]), math.Float64bits(dp32[i]))
 			}
 			if diff := math.Abs(d32[i] - d64[i]); diff > Float32DecisionBound(m, x) {
 				t.Fatalf("model %d (%v/%v): float32 drift %g exceeds bound %g",

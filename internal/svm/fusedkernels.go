@@ -98,7 +98,8 @@ var rbfExpUB = func() (t [256]float64) {
 // slope = 2γ/h are per-window constants — algebraically equal to the
 // exact loop's γ·(snᵢ + nx − 2·dotᵢ) scaled by 1/h, with every rounding
 // difference absorbed by the table's whole-step slack. This is the
-// reference shape: one accumulator, one support vector at a time.
+// portable engine's bound and the packed engine's tail loop: one
+// accumulator, one support vector at a time.
 func fusedRBFSumBoundPortable[T float32 | float64](coef, snGH []float64, dots []T, b0, slope float64) float64 {
 	coef = coef[:len(dots)]
 	snGH = snGH[:len(dots)]
@@ -115,92 +116,4 @@ func fusedRBFSumBoundPortable[T float32 | float64](coef, snGH []float64, dots []
 		sum += coef[i] * rbfExpUB[k&255]
 	}
 	return sum
-}
-
-// fusedRBFSumBound64 is the lane engine's RBF sum bound: four independent
-// accumulator chains so the index conversions and table loads of adjacent
-// support vectors overlap instead of serializing on one sum. The bound is
-// a screen input, not a decision value — summation order is free as long
-// as every term is the admissible per-SV bound, which is unchanged.
-func fusedRBFSumBound64(coef, snGH, dots []float64, b0, slope float64) float64 {
-	coef = coef[:len(dots)]
-	snGH = snGH[:len(dots)]
-	var s0, s1, s2, s3 float64
-	for len(dots) >= 4 && len(snGH) >= 4 && len(coef) >= 4 {
-		d, sg, c := dots[:4], snGH[:4], coef[:4]
-		k0 := int(sg[0] + b0 - slope*d[0])
-		k1 := int(sg[1] + b0 - slope*d[1])
-		k2 := int(sg[2] + b0 - slope*d[2])
-		k3 := int(sg[3] + b0 - slope*d[3])
-		if k0 < 0 {
-			k0 = 0
-		} else if k0 > 255 {
-			k0 = 255
-		}
-		if k1 < 0 {
-			k1 = 0
-		} else if k1 > 255 {
-			k1 = 255
-		}
-		if k2 < 0 {
-			k2 = 0
-		} else if k2 > 255 {
-			k2 = 255
-		}
-		if k3 < 0 {
-			k3 = 0
-		} else if k3 > 255 {
-			k3 = 255
-		}
-		s0 += c[0] * rbfExpUB[k0&255]
-		s1 += c[1] * rbfExpUB[k1&255]
-		s2 += c[2] * rbfExpUB[k2&255]
-		s3 += c[3] * rbfExpUB[k3&255]
-		dots, snGH, coef = dots[4:], snGH[4:], coef[4:]
-	}
-	s0 += fusedRBFSumBoundPortable(coef, snGH, dots, b0, slope)
-	return (s0 + s1) + (s2 + s3)
-}
-
-// fusedRBFSumBound32 is fusedRBFSumBound64 over float32 accumulators
-// (bounds computed from the very values the float32 exact loop would
-// consume).
-func fusedRBFSumBound32(coef, snGH []float64, dots []float32, b0, slope float64) float64 {
-	coef = coef[:len(dots)]
-	snGH = snGH[:len(dots)]
-	var s0, s1, s2, s3 float64
-	for len(dots) >= 4 && len(snGH) >= 4 && len(coef) >= 4 {
-		d, sg, c := dots[:4], snGH[:4], coef[:4]
-		k0 := int(sg[0] + b0 - slope*float64(d[0]))
-		k1 := int(sg[1] + b0 - slope*float64(d[1]))
-		k2 := int(sg[2] + b0 - slope*float64(d[2]))
-		k3 := int(sg[3] + b0 - slope*float64(d[3]))
-		if k0 < 0 {
-			k0 = 0
-		} else if k0 > 255 {
-			k0 = 255
-		}
-		if k1 < 0 {
-			k1 = 0
-		} else if k1 > 255 {
-			k1 = 255
-		}
-		if k2 < 0 {
-			k2 = 0
-		} else if k2 > 255 {
-			k2 = 255
-		}
-		if k3 < 0 {
-			k3 = 0
-		} else if k3 > 255 {
-			k3 = 255
-		}
-		s0 += c[0] * rbfExpUB[k0&255]
-		s1 += c[1] * rbfExpUB[k1&255]
-		s2 += c[2] * rbfExpUB[k2&255]
-		s3 += c[3] * rbfExpUB[k3&255]
-		dots, snGH, coef = dots[4:], snGH[4:], coef[4:]
-	}
-	s0 += fusedRBFSumBoundPortable(coef, snGH, dots, b0, slope)
-	return (s0 + s1) + (s2 + s3)
 }

@@ -3,25 +3,26 @@ package svm
 import "webtxprofile/internal/sparse"
 
 // The accumulate/clear kernels of the fused engine, over the blocked
-// lane-padded layout (blockedPostings). Three engines share the layout:
+// lane-padded layout (blockedPostings). Two engines share the layout, and
+// the CPU alone picks between them (NewFusedIndex):
 //
-//   - The packed kernels (accumulateVector64/accumulateVector32) run the
-//     same block/column walk but hand each lane-padded group to the
-//     AVX-512 gather–multiply–add–scatter routines in fusedasm_amd64.s.
-//     KernelsAuto resolves to them when the CPU supports AVX-512F.
-//   - The lane kernels (accumulate64/accumulate32, clear64/clear32) are
-//     straight-line unrolled over whole lanes — one 64-byte line of values
-//     and its ordinals per iteration, no remainder handling (padding
-//     guarantees full lanes). They are the shape the packed kernels
-//     consume, in portable Go, and the KernelsAuto engine everywhere
-//     AVX-512 is unavailable.
-//   - The portable kernels run the obvious per-posting loop over the very
-//     same postings in the very same order (KernelsPortable).
+//   - The packed kernels (accumulateVector64/accumulateVector32) hand each
+//     lane-padded (block, column) group to the AVX-512 gather–multiply–
+//     add–scatter routines in fusedasm_amd64.s. They run wherever the CPU
+//     reports avx512f.
+//   - The portable kernels (accumulatePortable64/accumulatePortable32) run
+//     the obvious per-posting loop over the very same postings in the very
+//     same order. They run everywhere else, and they are the reference the
+//     engine-equivalence tests compare the packed kernels against.
 //
-// All three produce bit-identical float64 (and float32) accumulators:
-// per (column, accumulator) there is at most one posting, every engine
-// visits groups in the same order, and the packed kernels round the
-// multiply and the add separately exactly like the Go ones.
+// Both produce bit-identical float64 (and float32) accumulators: per
+// (column, accumulator) there is at most one posting, both engines visit
+// groups in the same order, and the packed kernels round the multiply and
+// the add separately exactly like the Go loop.
+//
+// One clear (clear64/clear32) serves both engines: it only writes zeros,
+// straight-line over whole lanes, which the layout guarantees for every
+// engine.
 //
 // Blocks are the outer loop and the window's columns the inner one, so
 // every scattered accumulator write of an iteration lands inside one
@@ -29,100 +30,9 @@ import "webtxprofile/internal/sparse"
 // loops keep their bounds checks (the dense per-model passes that must be
 // bounds-check-free live in fusedkernels.go, which CI gates).
 
-func (pb *blockedPostings) accumulate64(x sparse.Vector, acc []float64) int {
-	ncols := pb.ncols
-	if ncols <= 0 {
-		return 0
-	}
-	xi, xv := x.Idx, x.Val
-	if len(xi) > len(xv) {
-		xi = xi[:len(xv)]
-	}
-	visited := 0
-	for b := 0; b < int(pb.nblocks); b++ {
-		row := pb.starts[b*int(ncols) : b*int(ncols)+int(ncols)+1]
-		for k := range xi {
-			c := xi[k]
-			if c >= ncols {
-				break // x.Idx is sorted: everything after is out of range too
-			}
-			s, e := row[c], row[c+1]
-			if s == e {
-				continue
-			}
-			visited += int(e - s)
-			w := xv[k]
-			ord := pb.ord[s:e]
-			val := pb.val[s:e]
-			for len(ord) >= laneWidth64 && len(val) >= laneWidth64 {
-				o, v := ord[:laneWidth64], val[:laneWidth64]
-				acc[o[0]] += w * v[0]
-				acc[o[1]] += w * v[1]
-				acc[o[2]] += w * v[2]
-				acc[o[3]] += w * v[3]
-				acc[o[4]] += w * v[4]
-				acc[o[5]] += w * v[5]
-				acc[o[6]] += w * v[6]
-				acc[o[7]] += w * v[7]
-				ord, val = ord[laneWidth64:], val[laneWidth64:]
-			}
-		}
-	}
-	return visited
-}
-
-func (pb *blockedPostings) accumulate32(x sparse.Vector, acc []float32) int {
-	ncols := pb.ncols
-	if ncols <= 0 {
-		return 0
-	}
-	xi, xv := x.Idx, x.Val
-	if len(xi) > len(xv) {
-		xi = xi[:len(xv)]
-	}
-	visited := 0
-	for b := 0; b < int(pb.nblocks); b++ {
-		row := pb.starts[b*int(ncols) : b*int(ncols)+int(ncols)+1]
-		for k := range xi {
-			c := xi[k]
-			if c >= ncols {
-				break
-			}
-			s, e := row[c], row[c+1]
-			if s == e {
-				continue
-			}
-			visited += int(e - s)
-			w := float32(xv[k])
-			ord := pb.ord[s:e]
-			val := pb.val32[s:e]
-			for len(ord) >= laneWidth32 && len(val) >= laneWidth32 {
-				o, v := ord[:laneWidth32], val[:laneWidth32]
-				acc[o[0]] += w * v[0]
-				acc[o[1]] += w * v[1]
-				acc[o[2]] += w * v[2]
-				acc[o[3]] += w * v[3]
-				acc[o[4]] += w * v[4]
-				acc[o[5]] += w * v[5]
-				acc[o[6]] += w * v[6]
-				acc[o[7]] += w * v[7]
-				acc[o[8]] += w * v[8]
-				acc[o[9]] += w * v[9]
-				acc[o[10]] += w * v[10]
-				acc[o[11]] += w * v[11]
-				acc[o[12]] += w * v[12]
-				acc[o[13]] += w * v[13]
-				acc[o[14]] += w * v[14]
-				acc[o[15]] += w * v[15]
-				ord, val = ord[laneWidth32:], val[laneWidth32:]
-			}
-		}
-	}
-	return visited
-}
-
-// accumulateVector64 is the packed engine: the same walk as accumulate64,
-// with each group's lanes processed by the AVX-512 kernel.
+// accumulateVector64 is the packed engine: the same walk as
+// accumulatePortable64, with each group's lanes processed by the AVX-512
+// kernel.
 func (pb *blockedPostings) accumulateVector64(x sparse.Vector, acc []float64) int {
 	ncols := pb.ncols
 	if ncols <= 0 {
@@ -179,8 +89,8 @@ func (pb *blockedPostings) accumulateVector32(x sparse.Vector, acc []float32) in
 	return visited
 }
 
-// clear64 re-walks exactly the postings accumulate64 touched for x and
-// zeroes their accumulator cells, leaving the scratch all-zero again in
+// clear64 re-walks exactly the postings the accumulate pass touched for x
+// and zeroes their accumulator cells, leaving the scratch all-zero again in
 // O(matched postings) instead of O(population).
 func (pb *blockedPostings) clear64(x sparse.Vector, acc []float64) {
 	ncols := pb.ncols
@@ -246,9 +156,8 @@ func (pb *blockedPostings) clear32(x sparse.Vector, acc []float32) {
 	}
 }
 
-// accumulatePortable64 is the reference engine: the same blocked walk,
-// one posting at a time. Per-accumulator term order is identical to
-// accumulate64, so float64 results are bit-identical.
+// accumulatePortable64 is the portable engine: the blocked walk, one
+// posting at a time.
 func (pb *blockedPostings) accumulatePortable64(x sparse.Vector, acc []float64) int {
 	ncols := pb.ncols
 	if ncols <= 0 {
@@ -299,40 +208,4 @@ func (pb *blockedPostings) accumulatePortable32(x sparse.Vector, acc []float32) 
 		}
 	}
 	return visited
-}
-
-func (pb *blockedPostings) clearPortable64(x sparse.Vector, acc []float64) {
-	ncols := pb.ncols
-	if ncols <= 0 {
-		return
-	}
-	for b := 0; b < int(pb.nblocks); b++ {
-		row := pb.starts[b*int(ncols) : b*int(ncols)+int(ncols)+1]
-		for _, c := range x.Idx {
-			if c >= ncols {
-				break
-			}
-			for p := row[c]; p < row[c+1]; p++ {
-				acc[pb.ord[p]] = 0
-			}
-		}
-	}
-}
-
-func (pb *blockedPostings) clearPortable32(x sparse.Vector, acc []float32) {
-	ncols := pb.ncols
-	if ncols <= 0 {
-		return
-	}
-	for b := 0; b < int(pb.nblocks); b++ {
-		row := pb.starts[b*int(ncols) : b*int(ncols)+int(ncols)+1]
-		for _, c := range x.Idx {
-			if c >= ncols {
-				break
-			}
-			for p := row[c]; p < row[c+1]; p++ {
-				acc[pb.ord[p]] = 0
-			}
-		}
-	}
 }

@@ -57,21 +57,22 @@
 // lanes (8 float64 or 16 float32 values — one 64-byte line each). Pads
 // target a dedicated spare accumulator cell, so kernels process whole
 // lanes with no remainder handling and the scatter of a lane never
-// aliases a real ordinal. Three interchangeable engines consume this one
-// layout (FusedConfig.Kernels): packed AVX-512 assembly
+// aliases a real ordinal. Two engines consume this one layout, and the
+// CPU alone picks between them: packed AVX-512 assembly
 // (gather–multiply–add–scatter per lane, plus a packed table-driven RBF
-// screening-bound reduction), straight-line Go lane kernels, and portable
-// per-posting reference loops. Engine selection never changes results:
-// blocks partition ordinals, each (column, accumulator) pair carries at
-// most one posting, and all engines visit groups in one fixed order with
-// separately rounded multiply and add (the assembly deliberately avoids
-// FMA), so float64 — and float32 — decisions are bit-identical across
-// engines, per-model paths, and CPUs; only screening *effort* may differ,
-// never a mask. The per-model epilogue passes over contiguous SV ranges
-// (kernel sums, screen bounds, dot ranges) live in fusedkernels.go, which
-// CI keeps free of bounds checks in inner loops; index build cost and
-// lane-padding overhead are observable via KernelStats
-// (IndexBuild*, LanePadWaste, IndexBytes) and FusedIndex.Footprint.
+// screening-bound reduction) where the CPU reports avx512f, and portable
+// per-posting Go loops everywhere else. Engine selection never changes
+// results: blocks partition ordinals, each (column, accumulator) pair
+// carries at most one posting, and both engines visit groups in one
+// fixed order with separately rounded multiply and add (the assembly
+// deliberately avoids FMA), so float64 — and float32 — decisions are
+// bit-identical across engines, per-model paths, and CPUs; only screening
+// *effort* may differ, never a mask. The per-model epilogue passes over
+// contiguous SV ranges (kernel sums, screen bounds, dot ranges) live in
+// fusedkernels.go, which CI keeps free of bounds checks in inner loops;
+// index build cost and lane-padding overhead are observable via
+// KernelStats (IndexBuild*, LanePadWaste, IndexBytes) and
+// FusedIndex.Footprint.
 package svm
 
 import (

@@ -29,9 +29,8 @@ import (
 // A Scorer is not safe for concurrent use; create one per goroutine with
 // FusedIndex.NewScorer (they are cheap — the index is shared, read-only).
 type Scorer struct {
-	ix       *FusedIndex
-	portable bool
-	vector   bool
+	ix     *FusedIndex
+	vector bool
 
 	dec []float64
 	acc []bool
@@ -66,12 +65,11 @@ func NewScorer(models []*Model) *Scorer {
 func (ix *FusedIndex) NewScorer() *Scorer {
 	n := len(ix.models)
 	s := &Scorer{
-		ix:       ix,
-		portable: ix.portable,
-		vector:   ix.vector,
-		dec:      make([]float64, 0, n),
-		acc:      make([]bool, n),
-		marks:    make([]uint64, n),
+		ix:     ix,
+		vector: ix.vector,
+		dec:    make([]float64, 0, n),
+		acc:    make([]bool, n),
+		marks:  make([]uint64, n),
 	}
 	if ix.cfg.Float32 {
 		s.wx32 = make([]float32, n+1)
@@ -95,18 +93,14 @@ func (s *Scorer) accumulate(x sparse.Vector) int {
 	s.epoch++
 	ix := s.ix
 	switch {
-	case ix.cfg.Float32 && s.portable:
-		return ix.lin.accumulatePortable32(x, s.wx32) + ix.sv.accumulatePortable32(x, s.dots32)
 	case ix.cfg.Float32 && s.vector:
 		return ix.lin.accumulateVector32(x, s.wx32) + ix.sv.accumulateVector32(x, s.dots32)
 	case ix.cfg.Float32:
-		return ix.lin.accumulate32(x, s.wx32) + ix.sv.accumulate32(x, s.dots32)
-	case s.portable:
-		return ix.lin.accumulatePortable64(x, s.wx) + ix.sv.accumulatePortable64(x, s.dots)
+		return ix.lin.accumulatePortable32(x, s.wx32) + ix.sv.accumulatePortable32(x, s.dots32)
 	case s.vector:
 		return ix.lin.accumulateVector64(x, s.wx) + ix.sv.accumulateVector64(x, s.dots)
 	default:
-		return ix.lin.accumulate64(x, s.wx) + ix.sv.accumulate64(x, s.dots)
+		return ix.lin.accumulatePortable64(x, s.wx) + ix.sv.accumulatePortable64(x, s.dots)
 	}
 }
 
@@ -128,13 +122,8 @@ func (s *Scorer) clear(x sparse.Vector, visited int) {
 			}
 			return
 		}
-		if s.portable {
-			ix.lin.clearPortable32(x, s.wx32)
-			ix.sv.clearPortable32(x, s.dots32)
-		} else {
-			ix.lin.clear32(x, s.wx32)
-			ix.sv.clear32(x, s.dots32)
-		}
+		ix.lin.clear32(x, s.wx32)
+		ix.sv.clear32(x, s.dots32)
 		return
 	}
 	if visited*4 >= len(s.wx)+len(s.dots) {
@@ -146,13 +135,8 @@ func (s *Scorer) clear(x sparse.Vector, visited int) {
 		}
 		return
 	}
-	if s.portable {
-		ix.lin.clearPortable64(x, s.wx)
-		ix.sv.clearPortable64(x, s.dots)
-	} else {
-		ix.lin.clear64(x, s.wx)
-		ix.sv.clear64(x, s.dots)
-	}
+	ix.lin.clear64(x, s.wx)
+	ix.sv.clear64(x, s.dots)
 }
 
 // wxAt returns model mi's accumulated weight dot product as float64.
