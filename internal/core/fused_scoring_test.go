@@ -43,6 +43,23 @@ func TestMonitorFusedMatchesPreFusedEngine(t *testing.T) {
 	comparePerDevice(t, ref, fused)
 }
 
+// TestMonitorKernelEnginesAlertEquivalence holds the kernel engine the CPU
+// resolves to (the packed AVX-512 kernels where the CPU has them, the
+// portable Go kernels otherwise) to the pre-fused per-model reference
+// across shard layouts: with one shard a single scorer's accumulator
+// scratch is reused for every device's windows, with many it is split
+// across concurrently scoring shards, and both must emit per-device alert
+// sequences identical to the reference. Packed and portable engines are
+// held bit-identical to each other by internal/svm's engine suites. Run
+// under -race in CI with the vector engine on.
+func TestMonitorKernelEnginesAlertEquivalence(t *testing.T) {
+	const k = 2
+	ref := runMonitorAlerts(t, MonitorConfig{Shards: 8, referenceScoring: true}, k)
+	for _, shards := range []int{1, 8} {
+		comparePerDevice(t, ref, runMonitorAlerts(t, MonitorConfig{Shards: shards}, k))
+	}
+}
+
 // TestMonitorScoringEngineAccessors pins the observability accessors the
 // daemon logs at startup: a fused monitor reports the engine the CPU
 // resolves to — the packed AVX-512 kernels when the CPU list names
